@@ -24,7 +24,7 @@ from .composition import (
     compose_one_way,
     compose_wired,
 )
-from .linalg import DEFAULT_TOL, PositivityError
+from .linalg import DEFAULT_TOL, DimensionError, PositivityError
 from .procmat import (
     ProcessValidityError,
     causal_decompose,
@@ -272,7 +272,7 @@ def _cmd_check_procmat(args):
 def _cmd_decompose_procmat(args):
     w = _load(args.file, "classical_process")
     try:
-        dec = causal_decompose(w)
+        dec = causal_decompose(w, max(_resolve_tol(args), 1e-9))
     except ProcessValidityError as exc:
         report = {"pass": False, "error": str(exc)}
         if exc.witness is not None:
@@ -302,7 +302,7 @@ def _cmd_probe_procmat(args):
         report = probe_quantum_process(
             matrix, dims[0], dims[1], dims[2], dims[3], probes=args.probes, seed=args.seed
         )
-    except PositivityError as exc:
+    except (PositivityError, DimensionError) as exc:
         raise InputError(str(exc)) from exc
     if not report["pass"]:
         raise VerificationFailure(report)

@@ -47,6 +47,7 @@ from .causal import (
 )
 from .procmat import (
     ClassicalProcess,
+    ProcessValidityError,
     causal_decompose,
     compose_via_classical_process,
     extract_one_way_mixture,
@@ -64,6 +65,7 @@ from .sep import (
     sep_to_locc_star,
     verify_nine_state_discrimination,
 )
+from .simplex import InfeasibleError, solve_feasibility
 
 
 def _check(name, value, threshold):
@@ -306,6 +308,61 @@ def _brute_force_valid(w: ClassicalProcess, tol: float = 1e-9) -> bool:
     return True
 
 
+def _lp_decomposable(w: ClassicalProcess) -> bool:
+    """Independent oracle: is w = rAB + rBA feasible by LP with one-way marginals?
+
+    rAB(i_A, i_B, o_A) and rBA(i_A, i_B, o_B) are nonnegative, sum_iB rAB is
+    independent of o_A and sum_iA rBA is independent of o_B.
+    """
+    n_ia, n_ib, n_oa, n_ob = w.n_ia, w.n_ib, w.n_oa, w.n_ob
+    n_ab = n_ia * n_ib * n_oa
+    n_ba = n_ia * n_ib * n_ob
+
+    def ab(ia, ib, oa):
+        return (ia * n_ib + ib) * n_oa + oa
+
+    def ba(ia, ib, ob):
+        return n_ab + (ia * n_ib + ib) * n_ob + ob
+
+    rows = []
+    rhs = []
+    for ia, ib, oa, ob in product(range(n_ia), range(n_ib), range(n_oa), range(n_ob)):
+        row = np.zeros(n_ab + n_ba)
+        row[ab(ia, ib, oa)] = 1.0
+        row[ba(ia, ib, ob)] = 1.0
+        rows.append(row)
+        rhs.append(w.table[ia, ib, oa, ob])
+    for ia in range(n_ia):
+        for oa in range(1, n_oa):
+            row = np.zeros(n_ab + n_ba)
+            for ib in range(n_ib):
+                row[ab(ia, ib, oa)] += 1.0
+                row[ab(ia, ib, 0)] -= 1.0
+            rows.append(row)
+            rhs.append(0.0)
+    for ib in range(n_ib):
+        for ob in range(1, n_ob):
+            row = np.zeros(n_ab + n_ba)
+            for ia in range(n_ia):
+                row[ba(ia, ib, ob)] += 1.0
+                row[ba(ia, ib, 0)] -= 1.0
+            rows.append(row)
+            rhs.append(0.0)
+    try:
+        solve_feasibility(np.array(rows), np.array(rhs))
+    except InfeasibleError:
+        return False
+    return True
+
+
+def _decomposes(w: ClassicalProcess) -> bool:
+    try:
+        causal_decompose(w)
+    except ProcessValidityError:
+        return False
+    return True
+
+
 def _degenerate_branch_process() -> ClassicalProcess:
     """A one-way process whose second leader symbol never occurs."""
     t = np.zeros((2, 2, 2, 2))
@@ -370,6 +427,19 @@ def criterion_process_decomposition(seed: int = 5) -> dict:
     # (d) the loop process fails with an explicit strategy witness
     witness = find_violating_strategy(loop_process(2))
     checks.append(_flag("loop-process-witnessed-invalid", witness is not None))
+
+    # (e) the closed-form decomposition succeeds exactly when the LP is feasible
+    lp_agree = True
+    for j in range(10):
+        if j % 2:
+            n = int(rng.integers(2, 4))
+            lam = float(rng.uniform(0.3, 1.0))
+            filler = random_process_mixture(n, n, n, n, rng)
+            w = ClassicalProcess(n, n, n, n, lam * loop_process(n).table + (1 - lam) * filler.table)
+        else:
+            w = random_process_mixture(*(int(v) for v in rng.integers(2, 4, size=4)), rng)
+        lp_agree = lp_agree and _lp_decomposable(w) == _decomposes(w)
+    checks.append(_flag("decomposition-matches-lp-feasibility", lp_agree))
     return _finish("process-decomposition", checks, start)
 
 

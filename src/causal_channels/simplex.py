@@ -2,7 +2,9 @@
 
 Solves "find x >= 0 with A x = b" by minimizing the sum of artificial
 variables, using Bland's anti-cycling rule.  Problem sizes here are tiny
-(a few hundred rows/columns), so no factorization tricks are needed.
+(a few hundred rows/columns), so no factorization tricks are needed.  The
+self-test uses it as an independent oracle for the closed-form causal
+decomposition in ``procmat``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
+
 from causal_channels import serialize
 from causal_channels.channels import random_instrument
 from causal_channels.cli import main
-from causal_channels.procmat import random_process_mixture
+from causal_channels.procmat import ClassicalProcess, random_process_mixture
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -85,6 +87,11 @@ def test_probe_procmat(tmp_path, capsys):
     assert code == 0
     code, out = run(["probe-procmat", os.path.join(FIXTURES, "loop_process.json")], capsys)
     assert code == 1
+    # more input symbols than two Kraus operators can map onto the outputs
+    path = tmp_path / "w.json"
+    serialize.save(path, random_process_mixture(8, 8, 2, 2, 5), "classical_process")
+    code, out = run(["probe-procmat", str(path)], capsys)
+    assert code == 0 and json.loads(out)["pass"]
 
 
 def test_input_errors_exit_2(tmp_path, capsys):
@@ -93,6 +100,18 @@ def test_input_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"rows": 1}')
     code, _ = run(["check-procmat", str(bad)], capsys)
+    assert code == 2
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"n_ia": 2, "n_ib": 2, "n_oa": 2, "n_ob": 0, "table": []}')
+    for command in ("check-procmat", "decompose-procmat"):
+        code, _ = run([command, str(empty)], capsys)
+        assert code == 2
+    small = tmp_path / "small.json"  # a 4x4 operator cannot be a 2x2x2x2 process
+    entries = [[0.5 if j % 5 == 0 else 0.0, 0.0] for j in range(16)]
+    small.write_text(json.dumps({
+        "matrix": {"rows": 4, "cols": 4, "data": entries}, "n_ia": 2, "n_oa": 2, "n_ib": 2, "n_ob": 2,
+    }))
+    code, _ = run(["probe-procmat", str(small)], capsys)
     assert code == 2
     assert main(["no-such-command"]) == 2
 
@@ -105,6 +124,23 @@ def test_tol_env_fallback(tmp_path, capsys, monkeypatch):
     code, out = run(["verify-instrument", str(path)], capsys)
     assert code == 0
     assert json.loads(out)["tolerance"] == 1e-6
+
+
+def test_procmat_commands_share_the_tolerance(tmp_path, capsys, monkeypatch):
+    w = random_process_mixture(2, 2, 2, 2, 12)
+    t = w.table.copy()
+    col = t[:, :, 0, 0]
+    src = np.unravel_index(int(col.argmax()), col.shape)
+    col[src] -= 1e-6
+    col[tuple(1 - i for i in src)] += 1e-6  # some strategy masses now miss 1 by 1e-6
+    path = tmp_path / "w.json"
+    serialize.save(path, ClassicalProcess(2, 2, 2, 2, t), "classical_process")
+    for command in ("check-procmat", "decompose-procmat"):
+        assert run([command, str(path)], capsys)[0] == 1
+        assert run([command, str(path), "--tol", "1e-5"], capsys)[0] == 0
+        monkeypatch.setenv("CAUSAL_CHANNELS_TOL", "1e-5")
+        assert run([command, str(path)], capsys)[0] == 0
+        monkeypatch.delenv("CAUSAL_CHANNELS_TOL")
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from causal_channels.channels import (
     choi_of,
     choi_distance,
     is_trace_preserving,
+    random_cptp,
     random_instrument,
     tensor_map,
 )
@@ -184,3 +187,119 @@ def test_seeded_generators_are_reproducible():
     w1 = random_one_way_process(2, 2, 2, 2, 99, "BA")
     w2 = random_one_way_process(2, 2, 2, 2, 99, "BA")
     assert np.array_equal(w1.table, w2.table)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (3, 2, 2, 3)])
+def test_probe_values_match_the_kronecker_trace(dims):
+    n_ia, n_oa, n_ib, n_ob = dims
+    d = n_ia * n_oa * n_ib * n_ob
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    w = g @ g.conj().T
+    w *= n_oa * n_ob / np.trace(w).real
+    report = probe_quantum_process(w, n_ia, n_oa, n_ib, n_ob, probes=4, seed=3)
+
+    # reference: tr[W (M_A^T x M_B^T)] on the same seeded probes, in report order
+    probe_rng = np.random.default_rng(3)
+    pairs = [
+        (
+            choi_of(random_cptp(n_ia, n_oa, 2, probe_rng)).matrix,
+            choi_of(random_cptp(n_ib, n_ob, 2, probe_rng)).matrix,
+        )
+        for _ in range(4)
+    ]
+    for f in product(range(n_oa), repeat=n_ia):
+        for g_ in product(range(n_ob), repeat=n_ib):
+            ma = np.diag([1.0 if o == f[i] else 0.0 for i in range(n_ia) for o in range(n_oa)])
+            mb = np.diag([1.0 if o == g_[i] else 0.0 for i in range(n_ib) for o in range(n_ob)])
+            pairs.append((ma, mb))
+    assert len(report["probes"]) == len(pairs)
+    for rec, (ma, mb) in zip(report["probes"], pairs):
+        want = float(np.real(np.trace(w @ np.kron(ma.T, mb.T))))
+        assert abs(rec["value"] - want) <= 1e-12
+
+
+def _brute_force_first_violation(t, tol):
+    """First f (in product order) with some g breaking unit mass, and all its masses."""
+    n_ia, n_ib, n_oa, n_ob = t.shape
+    for f in product(range(n_oa), repeat=n_ia):
+        masses = {
+            g: sum(float(t[ia, ib, f[ia], g[ib]]) for ia in range(n_ia) for ib in range(n_ib))
+            for g in product(range(n_ob), repeat=n_ib)
+        }
+        if any(abs(m - 1.0) > tol for m in masses.values()):
+            return f, masses
+    return None
+
+
+def _loop_mixed(sizes, lam, rng):
+    n_ia, n_ib, n_oa, n_ob = sizes
+    loop = np.zeros(sizes)
+    for oa in range(n_oa):
+        for ob in range(n_ob):
+            loop[ob % n_ia, oa % n_ib, oa, ob] = 1.0  # i_A copies o_B, i_B copies o_A
+    return lam * loop + (1 - lam) * random_process_mixture(*sizes, rng).table
+
+
+def _perturbed(table, eps, rng):
+    """Move eps of mass between two cells of one (o_A, o_B) column."""
+    t = table.copy()
+    n_ia, n_ib, n_oa, n_ob = t.shape
+    col = t[:, :, int(rng.integers(n_oa)), int(rng.integers(n_ob))]
+    src = np.unravel_index(int(col.argmax()), col.shape)
+    cells = [c for c in product(range(n_ia), range(n_ib)) if c != src]
+    if cells:
+        col[src] -= eps
+        col[cells[int(rng.integers(len(cells)))]] += eps
+    return t
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    alphabets = st.tuples(*[st.integers(1, 3)] * 4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(alphabets, st.sampled_from(["valid", "loop", "0.5tol", "5tol"]), st.integers(0, 2**31 - 1))
+    def test_strategy_search_matches_pair_enumeration(sizes, kind, seed):
+        tol = 1e-9
+        rng = np.random.default_rng(seed)
+        if kind == "loop":
+            table = _loop_mixed(sizes, float(rng.uniform(0.3, 1.0)), rng)
+        else:
+            table = random_process_mixture(*sizes, rng).table
+            if kind != "valid":
+                table = _perturbed(table, float(kind[:-3]) * tol, rng)
+        w = ClassicalProcess(*sizes, table)
+        expected = _brute_force_first_violation(w.table, tol)
+        witness = find_violating_strategy(w, tol)
+        assert (witness is None) == (expected is None)
+        if witness is not None:
+            f, masses = expected
+            assert witness["f"] == f
+            assert abs(witness["mass"] - masses[witness["g"]]) <= 1e-12
+            assert abs(witness["mass"] - 1.0) > tol
+            extremes = (max(masses.values()), min(masses.values()))
+            assert min(abs(witness["mass"] - m) for m in extremes) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(alphabets, st.sampled_from(["mixture", "AB", "BA"]), st.integers(0, 2**31 - 1))
+    def test_closed_form_decomposition_is_a_one_way_mixture(sizes, kind, seed):
+        if kind == "mixture":
+            w = random_process_mixture(*sizes, seed)
+        else:
+            w = random_one_way_process(*sizes, seed, kind)
+        dec = causal_decompose(w)
+        p_ab, p_ba = dec.p_ab.table, dec.p_ba.table
+        assert 0.0 <= dec.q <= 1.0
+        assert p_ab.min() >= 0.0 and p_ba.min() >= 0.0
+        assert np.allclose(p_ab.sum(axis=(0, 1)), 1.0, atol=1e-12, rtol=0)
+        assert np.allclose(p_ba.sum(axis=(0, 1)), 1.0, atol=1e-12, rtol=0)
+        lead_a = p_ab.sum(axis=1)  # (i_A, o_A): must not depend on o_A
+        lead_b = p_ba.sum(axis=0)  # (i_B, o_B): must not depend on o_B
+        assert np.allclose(lead_a, lead_a[:, :1], atol=1e-12, rtol=0)
+        assert np.allclose(lead_b, lead_b[:, :1], atol=1e-12, rtol=0)
+        assert recombination_error(dec, w) <= 1e-12
+except ImportError:  # pragma: no cover - hypothesis is an optional test dependency
+    pass
