@@ -18,6 +18,8 @@ from .composition import CondDist, LoccProtocol, delta_wiring
 from .linalg import DimensionError
 
 MARGINAL_TOL = 1e-12
+# Largest in_alphabet x out_alphabet of any rebuilt or merged LOCC round.
+MAX_ROUND_SIZE = 1 << 18
 
 
 class CausalOrderError(ValueError):
@@ -26,6 +28,10 @@ class CausalOrderError(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class ReconstructionSizeError(ValueError):
+    """A rebuilt LOCC round would exceed ``MAX_ROUND_SIZE`` classical symbols."""
 
 
 @dataclass(frozen=True, order=True)
@@ -261,51 +267,41 @@ def build_q_channels(w: AggregateWiring, f: LinearExtensionMap) -> list:
     return channels
 
 
-def _aggregate_sizes(w: AggregateWiring, f: LinearExtensionMap, l: int):
-    """Alphabet sizes of (I_1..I_l, O_1..O_l) in linear-extension order."""
-    seq = list(f.sequence)
-    in_sizes = [w.dist.input_alphabets[w.slot(n)] for n in seq[:l]]
-    out_sizes = [w.dist.output_alphabets[w.slot(n)] for n in seq[:l]]
-    return in_sizes, out_sizes
+def build_primed_operations(alice_rounds, bob_rounds, channels) -> list:
+    """Per-step instruments over the reachable transcripts (I_1..I_l, O_1..O_l).
 
-
-def build_primed_operations(alice_rounds, bob_rounds, w, channels, f) -> list:
-    """Per-step instruments over aggregate history alphabets.
-
-    Step l consumes the full transcript (I_1..I_{l-1}, O_1..O_{l-1}) and emits
-    the transcript extended by (I_l, O_l); the quantum action is the original
-    round instrument weighted by the step channel.  Returns a list of
-    (party, Instrument) in linear-extension order.
+    Step l extends each transcript of step l - 1 by every I_l of positive
+    channel weight and every O_l with a nonzero round element; nothing else is
+    built.  Transcripts are numbered densely in sorted tuple order, and the
+    quantum action is the round element weighted by the step channel.
+    Returns a list of (party, Instrument) in linear-extension order.
     """
-    alice_rounds = list(alice_rounds)
-    bob_rounds = list(bob_rounds)
     rounds = {OpLabel("A", k + 1): inst for k, inst in enumerate(alice_rounds)}
     rounds.update({OpLabel("B", k + 1): inst for k, inst in enumerate(bob_rounds)})
+    prev = {((), ()): 0}
     steps = []
     for ch in channels:
-        l = ch.position
-        node = ch.node
+        l, node = ch.position, ch.node
         base = rounds[node]
-        prev_in, prev_out = _aggregate_sizes(w, f, l - 1)
-        cur_in, cur_out = _aggregate_sizes(w, f, l)
-        n_prev = int(np.prod(prev_in + prev_out)) if l > 1 else 1
-        n_cur = int(np.prod(cur_in + cur_out))
-        elements = {}
-        for hist in np.ndindex(*(prev_in + prev_out)) if l > 1 else [()]:
-            hist_i, hist_o = hist[: l - 1], hist[l - 1 :]
-            prev_sym = int(np.ravel_multi_index(hist, prev_in + prev_out)) if l > 1 else 0
-            for i_l in range(cur_in[-1]):
-                weight = float(ch.table[hist_i + (i_l,) + hist_o])
-                if weight <= 0.0:
-                    continue
-                for o_l in range(cur_out[-1]):
-                    el = base.element(i_l, o_l)
-                    if not el.kraus:
-                        continue
-                    cur = hist_i + (i_l,) + hist_o + (o_l,)
-                    cur_sym = int(np.ravel_multi_index(cur, cur_in + cur_out))
-                    elements[(prev_sym, cur_sym)] = el.scaled(weight)
-        inst = Instrument(n_prev, n_cur, base.in_dim, base.out_dim, elements)
+        rows = base.by_input()
+        grown = {}  # transcript -> (previous symbol, weight, element)
+        for (hist_i, hist_o), prev_sym in prev.items():
+            weights = ch.table[hist_i + (slice(None),) + hist_o]
+            for i_l in np.flatnonzero(weights > 0.0).tolist():
+                for o_l, el in rows.get(i_l, ()):
+                    key = (hist_i + (i_l,), hist_o + (o_l,))
+                    grown[key] = (prev_sym, float(weights[i_l]), el)
+            if len(prev) * len(grown) > MAX_ROUND_SIZE:
+                raise ReconstructionSizeError(
+                    f"step {l} ({node}) has {len(prev)} x {len(grown)} or more classical "
+                    f"symbols, more than the limit of {MAX_ROUND_SIZE}"
+                )
+        cur = {key: j for j, key in enumerate(sorted(grown))}
+        elements = {
+            (prev_sym, cur[key]): el.scaled(weight)
+            for key, (prev_sym, weight, el) in grown.items()
+        }
+        inst = Instrument(len(prev), len(cur), base.in_dim, base.out_dim, elements)
         if not validate_instrument(inst):
             raise CausalOrderError(
                 f"step {l} ({node}) does not form an instrument; "
@@ -313,44 +309,32 @@ def build_primed_operations(alice_rounds, bob_rounds, w, channels, f) -> list:
                 witness=node,
             )
         steps.append((node.party, inst))
+        prev = cur
     return steps
 
 
 def merge_successive(protocol: LoccProtocol) -> LoccProtocol:
     """Merge consecutive same-party rounds so that parties strictly alternate.
 
-    Merged rounds concatenate their classical outputs (first round most
-    significant); the following round's classical input is lifted to the
-    concatenated alphabet.
+    A merged round emits only the output of its last round, the one the next
+    round reads, and sums the branches that differ only in earlier outputs.
+    On reconstructed steps the last transcript fixes the earlier ones, so
+    nothing is summed and the merged round is no larger than its last step.
     """
     merged = []
-    lift_mod = None  # next round reads (symbol % lift_mod)
     for party, inst in protocol.rounds:
-        if lift_mod is not None:
-            lifted = {}
-            n_new = lift_mod[0]
-            for (i, o), el in inst.elements.items():
-                for sym in range(n_new):
-                    if sym % lift_mod[1] == i:
-                        lifted[(sym, o)] = el
-            inst = Instrument(n_new, inst.out_alphabet, inst.in_dim, inst.out_dim, lifted)
-            lift_mod = None
         if merged and merged[-1][0] == party:
-            _, prev = merged[-1]
-            n1, n2 = prev.out_alphabet, inst.out_alphabet
+            prev = merged.pop()[1]
+            rows = inst.by_input()
             elements = {}
             for (i, o1), e1 in prev.elements.items():
-                for o2 in range(n2):
-                    e2 = inst.element(o1, o2)
-                    if e2.kraus:
-                        elements[(i, o1 * n2 + o2)] = e1.then(e2)
-            combined = Instrument(
-                prev.in_alphabet, n1 * n2, prev.in_dim, inst.out_dim, elements
+                for o2, e2 in rows.get(o1, ()):
+                    el = e1.then(e2)
+                    elements[(i, o2)] = elements[(i, o2)] + el if (i, o2) in elements else el
+            inst = Instrument(
+                prev.in_alphabet, inst.out_alphabet, prev.in_dim, inst.out_dim, elements
             )
-            merged[-1] = (party, combined)
-            lift_mod = (n1 * n2, n2)
-        else:
-            merged.append((party, inst))
+        merged.append((party, inst))
     return LoccProtocol(tuple(merged), protocol.a_dim, protocol.b_dim)
 
 
@@ -366,7 +350,7 @@ def reconstruct_locc(alice_rounds, bob_rounds, w: AggregateWiring, order: Causal
         )
     f = linear_extension(order)
     channels = build_q_channels(w, f)
-    steps = build_primed_operations(alice_rounds, bob_rounds, w, channels, f)
+    steps = build_primed_operations(alice_rounds, bob_rounds, channels)
     a_dim = alice_rounds[0].in_dim if alice_rounds else 1
     b_dim = bob_rounds[0].in_dim if bob_rounds else 1
     protocol = LoccProtocol(tuple(steps), a_dim, b_dim)

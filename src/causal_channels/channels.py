@@ -186,6 +186,13 @@ class Instrument:
     def element(self, i: int, o: int) -> CpMap:
         return self.elements.get((i, o), CpMap(self.in_dim, self.out_dim, ()))
 
+    def by_input(self) -> dict:
+        """Nonzero elements grouped by input symbol, as lists of (output, CpMap)."""
+        rows = {}
+        for (i, o), el in self.elements.items():
+            rows.setdefault(i, []).append((o, el))
+        return rows
+
     def summed(self, i: int) -> CpMap:
         """The deterministic map obtained by discarding the classical output."""
         total = CpMap(self.in_dim, self.out_dim, ())

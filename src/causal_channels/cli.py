@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import serialize
-from .causal import CausalOrderError, find_causal_violation, reconstruct_locc
+from .causal import CausalOrderError, ReconstructionSizeError, find_causal_violation
+from .causal import reconstruct_locc
 from .channels import choi_of, tp_defect, validate_instrument
 from .composition import (
     compose_ccstar,
@@ -245,6 +246,8 @@ def _cmd_reconstruct_locc(args):
         protocol = reconstruct_locc(alice_rounds, bob_rounds, wiring, order)
     except CausalOrderError as exc:
         raise VerificationFailure({"pass": False, "error": str(exc)}) from exc
+    except ReconstructionSizeError as exc:
+        raise InputError(str(exc)) from exc
     direct = compose_wired(alice_rounds, bob_rounds, wiring.dist)
     dist = float(
         np.linalg.norm(

@@ -270,12 +270,7 @@ def compose_locc_protocol(p: LoccProtocol) -> CpMap:
     a_out, b_out = p.out_dims()
     in_dim = p.a_dim * p.b_dim
     kraus = []
-    by_input = []
-    for _, inst in p.rounds:
-        idx = {}
-        for (i, o), el in inst.elements.items():
-            idx.setdefault(i, []).append((o, el))
-        by_input.append(idx)
+    by_input = [inst.by_input() for _, inst in p.rounds]
 
     def walk(r, symbol, a_op, b_op):
         if r == len(p.rounds):
@@ -315,7 +310,7 @@ def compose_wired(alice_rounds, bob_rounds, wiring: CondDist) -> CpMap:
     b_in = bob_rounds[0].in_dim if m else 1
     a_out = alice_rounds[-1].out_dim if n else 1
     b_out = bob_rounds[-1].out_dim if m else 1
-    total = CpMap(a_in * b_in, a_out * b_out, ())
+    kraus = []
     it = np.ndindex(*(want_in + want_out)) if (want_in + want_out) else [()]
     for idx in it:
         i_a, i_b = idx[:n], idx[n : n + m]
@@ -342,8 +337,9 @@ def compose_wired(alice_rounds, bob_rounds, wiring: CondDist) -> CpMap:
             b_chain = b_chain.then(el)
         if not ok:
             continue
-        total = total + tensor_map(a_chain, b_chain).scaled(w)
-    return total
+        s = np.sqrt(w)
+        kraus.extend(s * np.kron(ka, kb) for ka in a_chain.kraus for kb in b_chain.kraus)
+    return CpMap(a_in * b_in, a_out * b_out, tuple(kraus))
 
 
 def operator_norm_of_gram(cp: CpMap) -> float:

@@ -84,11 +84,15 @@ def decode_cp_map(obj, where="cpmap") -> CpMap:
 
 
 def encode_instrument(inst: Instrument) -> dict:
-    elements = {}
-    for i in range(inst.in_alphabet):
-        elements[str(i)] = [
-            encode_cp_map(inst.element(i, o)) for o in range(inst.out_alphabet)
+    # Absent (i, o) pairs are zero maps, written without building a CpMap.
+    zero = {"in_dim": inst.in_dim, "out_dim": inst.out_dim, "kraus": []}
+    elements = {
+        str(i): [
+            encode_cp_map(inst.elements[(i, o)]) if (i, o) in inst.elements else dict(zero)
+            for o in range(inst.out_alphabet)
         ]
+        for i in range(inst.in_alphabet)
+    }
     return {
         "in_alphabet": inst.in_alphabet,
         "out_alphabet": inst.out_alphabet,

@@ -10,6 +10,7 @@ from causal_channels.causal import (
     build_q_channels,
     find_causal_violation,
     linear_extension,
+    merge_successive,
     past_set,
     protocol_to_wired_form,
     reconstruct_locc,
@@ -17,6 +18,7 @@ from causal_channels.causal import (
 )
 from causal_channels.channels import choi_distance, random_instrument, validate_instrument
 from causal_channels.composition import (
+    LoccProtocol,
     compose_locc_protocol,
     compose_wired,
     delta_wiring,
@@ -102,15 +104,30 @@ def test_protocols_respect_their_own_order():
         assert respects_causal_order(wiring, order)
 
 
+def _delta_protocol(parties, alphabets, seed) -> LoccProtocol:
+    rounds, prev_out = [], 1
+    for r, (party, n) in enumerate(zip(parties, alphabets)):
+        rounds.append((party, random_instrument(prev_out, n, 2, 2, 1, seed + r)))
+        prev_out = n
+    return LoccProtocol(tuple(rounds), 2, 2)
+
+
+def _assert_valid_alternating_and_dense(rebuilt):
+    parties = [p for p, _ in rebuilt.rounds]
+    assert all(parties[k] != parties[k + 1] for k in range(len(parties) - 1))
+    for _, inst in rebuilt.rounds:
+        assert validate_instrument(inst, 1e-9)
+        # every input symbol is read and every output symbol is emitted
+        assert {i for i, _ in inst.elements} == set(range(inst.in_alphabet))
+        assert {o for _, o in inst.elements} == set(range(inst.out_alphabet))
+
+
 def test_reconstruction_matches_direct_contraction():
     rng = np.random.default_rng(2)
     for fixture in (_bsc_fixture(rng), _memoryful_fixture(rng)):
         ar, br, wiring, order = fixture
         rebuilt = reconstruct_locc(ar, br, wiring, order)
-        for _, inst in rebuilt.rounds:
-            assert validate_instrument(inst, 1e-9)
-        parties = [p for p, _ in rebuilt.rounds]
-        assert all(parties[k] != parties[k + 1] for k in range(len(parties) - 1))
+        _assert_valid_alternating_and_dense(rebuilt)
         d = choi_distance(compose_locc_protocol(rebuilt), compose_wired(ar, br, wiring.dist))
         assert d < 1e-8
 
@@ -132,3 +149,34 @@ def test_reconstruction_rejects_violating_wirings():
     order = CausalOrder(1, 1, frozenset({(OpLabel("A", 1), OpLabel("B", 1))}))
     with pytest.raises(CausalOrderError):
         reconstruct_locc(ar, br, w, order)
+
+
+def test_delta_reconstruction_keeps_only_reachable_transcripts():
+    p = _delta_protocol("ABAB", (2, 2, 2, 2), 5)
+    rebuilt = reconstruct_locc(*protocol_to_wired_form(p))
+    alphabets = [(inst.in_alphabet, inst.out_alphabet) for _, inst in rebuilt.rounds]
+    assert alphabets == [(1, 2), (2, 4), (4, 8), (8, 16)]
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    sequences = st.lists(st.sampled_from("AB"), min_size=2, max_size=5).filter(
+        lambda s: "A" in s and "B" in s
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(sequences, st.lists(st.integers(1, 3), min_size=5, max_size=5), st.integers(0, 2**31 - 1))
+    def test_reconstructed_protocols_are_dense_and_faithful(parties, alphabets, seed):
+        p = _delta_protocol(parties, alphabets, seed)
+        rebuilt = reconstruct_locc(*protocol_to_wired_form(p))
+        _assert_valid_alternating_and_dense(rebuilt)
+        assert choi_distance(compose_locc_protocol(rebuilt), compose_locc_protocol(p)) < 1e-8
+        # merging the original rounds sums branches that differ in earlier outputs
+        merged = merge_successive(p)
+        parties = [q for q, _ in merged.rounds]
+        assert all(parties[k] != parties[k + 1] for k in range(len(parties) - 1))
+        assert choi_distance(compose_locc_protocol(merged), compose_locc_protocol(p)) < 1e-8
+except ImportError:  # pragma: no cover - hypothesis is an optional test dependency
+    pass

@@ -3,9 +3,10 @@ import os
 
 import numpy as np
 
-from causal_channels import serialize
+from causal_channels import causal, serialize
 from causal_channels.channels import random_instrument
 from causal_channels.cli import main
+from causal_channels.composition import LoccProtocol
 from causal_channels.procmat import ClassicalProcess, random_process_mixture
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -82,6 +83,31 @@ def test_check_causal_and_reconstruct(capsys):
     assert json.loads(out)["choi_distance"] <= 1e-8
 
 
+def test_reconstruct_size_guard_exits_2(monkeypatch, capsys):
+    fixture = os.path.join(FIXTURES, "reconstruct_noisy.json")
+    monkeypatch.setattr(causal, "MAX_ROUND_SIZE", 3)
+    code, out = run(["reconstruct-locc", fixture], capsys)
+    assert code == 2 and out == ""
+
+
+def test_reconstruct_alphabet_3_delta_protocol(tmp_path, capsys):
+    rounds, prev_out = [], 1
+    for r, party in enumerate("ABAB"):
+        rounds.append((party, random_instrument(prev_out, 3, 2, 2, 1, 20 + r)))
+        prev_out = 3
+    alice, bob, wiring, order = causal.protocol_to_wired_form(LoccProtocol(tuple(rounds), 2, 2))
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({
+        "alice_rounds": [serialize.encode_instrument(x) for x in alice],
+        "bob_rounds": [serialize.encode_instrument(x) for x in bob],
+        "wiring": serialize.encode_aggregate_wiring(wiring),
+        "order": serialize.encode_causal_order(order),
+    }))
+    code, out = run(["reconstruct-locc", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["choi_distance"] <= 1e-8
+
+
 def test_probe_procmat(tmp_path, capsys):
     code, out = run(["probe-procmat", os.path.join(FIXTURES, "one_way_process.json")], capsys)
     assert code == 0
@@ -151,6 +177,10 @@ def test_reports_are_deterministic(tmp_path, capsys):
     out2 = tmp_path / "r2.json"
     assert main(["decompose-procmat", str(path), "--out", str(out1)]) == 0
     assert main(["decompose-procmat", str(path), "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    fixture = os.path.join(FIXTURES, "reconstruct_noisy.json")
+    assert main(["reconstruct-locc", fixture, "--out", str(out1)]) == 0
+    assert main(["reconstruct-locc", fixture, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 

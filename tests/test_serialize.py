@@ -6,7 +6,7 @@ import pytest
 
 from causal_channels import serialize
 from causal_channels.causal import AggregateWiring, CausalOrder, OpLabel
-from causal_channels.channels import random_instrument
+from causal_channels.channels import CpMap, Instrument, random_instrument
 from causal_channels.composition import JointMapSpec, delta_wiring
 from causal_channels.procmat import causal_decompose, random_process_mixture
 from causal_channels.selftest import _random_protocol
@@ -46,6 +46,11 @@ def test_instrument_roundtrip():
     inst = random_instrument(2, 3, 2, 2, 1, rng)
     back = serialize.decode_instrument(serialize.encode_instrument(inst))
     _same_instrument(inst, back)
+    # an absent element is written exactly as the encoded zero map
+    sparse = Instrument(2, 3, 2, 2, {k: v for k, v in inst.elements.items() if k != (1, 2)})
+    obj = serialize.encode_instrument(sparse)
+    assert obj["elements"]["1"][2] == serialize.encode_cp_map(CpMap(2, 2, ()))
+    _same_instrument(sparse, serialize.decode_instrument(obj))
 
 
 def test_cond_dist_roundtrip_and_flattening_order():
