@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Instrument, validate_instrument
+from .channels import CpMap, Instrument, validate_instrument
 from .composition import CondDist, LoccProtocol, delta_wiring
 from .linalg import DimensionError
 
@@ -326,11 +326,13 @@ def merge_successive(protocol: LoccProtocol) -> LoccProtocol:
         if merged and merged[-1][0] == party:
             prev = merged.pop()[1]
             rows = inst.by_input()
-            elements = {}
+            kraus = {}
             for (i, o1), e1 in prev.elements.items():
                 for o2, e2 in rows.get(o1, ()):
-                    el = e1.then(e2)
-                    elements[(i, o2)] = elements[(i, o2)] + el if (i, o2) in elements else el
+                    kraus.setdefault((i, o2), []).extend(e1.then(e2).kraus)
+            elements = {
+                key: CpMap(prev.in_dim, inst.out_dim, tuple(ks)) for key, ks in kraus.items()
+            }
             inst = Instrument(
                 prev.in_alphabet, inst.out_alphabet, prev.in_dim, inst.out_dim, elements
             )

@@ -195,10 +195,8 @@ class Instrument:
 
     def summed(self, i: int) -> CpMap:
         """The deterministic map obtained by discarding the classical output."""
-        total = CpMap(self.in_dim, self.out_dim, ())
-        for o in range(self.out_alphabet):
-            total = total + self.element(i, o)
-        return total
+        kraus = tuple(k for o in range(self.out_alphabet) for k in self.element(i, o).kraus)
+        return CpMap(self.in_dim, self.out_dim, kraus)
 
 
 def instrument_from_lists(rows, in_dim=None, out_dim=None) -> Instrument:

@@ -204,8 +204,7 @@ def _cmd_compile_sep(args):
 
 
 def _cmd_discriminate_nine(args):
-    tol = args.tol if args.tol is not None else 1e-9
-    report = verify_nine_state_discrimination(tol)
+    report = verify_nine_state_discrimination(_resolve_tol(args))
     if not report["pass"]:
         raise VerificationFailure(report)
     return report
@@ -303,7 +302,7 @@ def _cmd_probe_procmat(args):
             raise InputError(f"{args.file}: {exc}") from exc
     try:
         report = probe_quantum_process(
-            matrix, dims[0], dims[1], dims[2], dims[3], probes=args.probes, seed=args.seed
+            matrix, *dims, probes=args.probes, seed=args.seed, tol=_resolve_tol(args)
         )
     except (PositivityError, DimensionError) as exc:
         raise InputError(str(exc)) from exc

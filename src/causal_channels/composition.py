@@ -18,8 +18,6 @@ from .channels import (
     complementary_map,
     identity_map,
     is_trace_preserving,
-    tensor_map,
-    tp_defect,
     validate_instrument,
 )
 from .linalg import DEFAULT_TOL, DimensionError, basis_ket, identity
@@ -146,30 +144,40 @@ class LoccProtocol:
 
 
 def compose_one_way(alice: Instrument, bob_maps) -> CpMap:
-    """One-way composition: Alice measures, Bob applies the o-th TP map."""
+    """One-way composition: Alice measures, Bob applies the o-th TP map.
+
+    The kernel on Bob's maps as an n -> 1 instrument under the copy wiring
+    ``delta_wiring((1, n), (n, 1), (("const", 0), 0))``: i_A = 0, i_B = o_A.
+    """
     if alice.in_alphabet != 1:
         raise AlphabetError("one-way composition needs an input-free Alice instrument")
     bob_maps = list(bob_maps)
-    if len(bob_maps) != alice.out_alphabet:
-        raise AlphabetError(
-            f"Bob map count {len(bob_maps)} != Alice output alphabet {alice.out_alphabet}"
-        )
-    total = CpMap(alice.in_dim * bob_maps[0].in_dim, alice.out_dim * bob_maps[0].out_dim, ())
-    for o in range(alice.out_alphabet):
-        total = total + tensor_map(alice.element(0, o), bob_maps[o])
-    return total
+    n = alice.out_alphabet
+    if len(bob_maps) != n:
+        raise AlphabetError(f"Bob map count {len(bob_maps)} != Alice output alphabet {n}")
+    bob = Instrument(
+        n, 1, bob_maps[0].in_dim, bob_maps[0].out_dim, {(o, 0): m for o, m in enumerate(bob_maps)}
+    )
+    copy = delta_wiring((1, n), (n, 1), (("const", 0), 0))
+    return compose_ccstar(JointMapSpec(alice, bob, copy))
 
 
 def compose_ccstar(spec: JointMapSpec) -> CpMap:
-    """The wired joint map; CP always, not necessarily trace preserving."""
-    a, b, p = spec.alice, spec.bob, spec.wiring
-    total = CpMap(a.in_dim * b.in_dim, a.out_dim * b.out_dim, ())
+    """The wired joint map; CP always, not necessarily trace preserving.
+
+    The one contraction behind every wired form: each pair of elements with
+    weight p = p(i_A, i_B | o_A, o_B) > 0 contributes the Kraus operators
+    sqrt(p) * (ka (x) kb).
+    """
+    a, b, t = spec.alice, spec.bob, spec.wiring.table
+    kraus = []
     for (i_a, o_a), ea in a.elements.items():
         for (i_b, o_b), eb in b.elements.items():
-            w = p.prob((i_a, i_b), (o_a, o_b))
+            w = t[i_a, i_b, o_a, o_b]
             if w > 0.0:
-                total = total + tensor_map(ea, eb).scaled(w)
-    return total
+                s = np.sqrt(w)
+                kraus.extend(s * np.kron(ka, kb) for ka in ea.kraus for kb in eb.kraus)
+    return CpMap(a.in_dim * b.in_dim, a.out_dim * b.out_dim, tuple(kraus))
 
 
 def is_locc_star_member(spec: JointMapSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -177,18 +185,17 @@ def is_locc_star_member(spec: JointMapSpec, tol: float = DEFAULT_TOL) -> bool:
 
 
 def compose_loop(alice: Instrument, bob: Instrument) -> CpMap:
-    """Loop composition sum_{a,b} A_{a|b} (x) B_{b|a}; may be non-TP."""
+    """Loop composition sum_{a,b} A_{a|b} (x) B_{b|a}; may be non-TP.
+
+    The kernel on ``loop_wiring``: i_A = o_B and i_B = o_A.
+    """
     if alice.in_alphabet != bob.out_alphabet or alice.out_alphabet != bob.in_alphabet:
         raise AlphabetError(
             f"loop alphabets do not match: Alice {alice.in_alphabet}->{alice.out_alphabet}, "
             f"Bob {bob.in_alphabet}->{bob.out_alphabet}"
         )
-    total = CpMap(alice.in_dim * bob.in_dim, alice.out_dim * bob.out_dim, ())
-    for (b_sym, a_sym), ea in alice.elements.items():
-        eb = bob.element(a_sym, b_sym)
-        if eb.kraus:
-            total = total + tensor_map(ea, eb)
-    return total
+    loop = loop_wiring(alice.out_alphabet, bob.out_alphabet)
+    return compose_ccstar(JointMapSpec(alice, bob, loop))
 
 
 def to_loop_form(spec: JointMapSpec) -> tuple[Instrument, Instrument]:
@@ -197,7 +204,7 @@ def to_loop_form(spec: JointMapSpec) -> tuple[Instrument, Instrument]:
     The new index x ranges over Alice's original output alphabet.  The returned
     pair loop-composes to the same joint map as ``compose_ccstar(spec)``.
     """
-    a, b, p = spec.alice, spec.bob, spec.wiring
+    a, b, t = spec.alice, spec.bob, spec.wiring.table
     n_ia, n_ib = a.in_alphabet, b.in_alphabet
     n_oa, n_ob = a.out_alphabet, b.out_alphabet
     n_x = n_oa
@@ -210,26 +217,23 @@ def to_loop_form(spec: JointMapSpec) -> tuple[Instrument, Instrument]:
             b_sym = o_a * n_ob + o_b
             for i_b in range(n_ib):
                 for x in range(n_x):
-                    a_sym = i_b * n_x + x
-                    acc = CpMap(a.in_dim, a.out_dim, ())
-                    for i_a in range(n_ia):
-                        w = p.prob((i_a, i_b), (o_a, o_b))
-                        if w > 0.0:
-                            acc = acc + a.element(i_a, x).scaled(w)
-                    if acc.kraus:
-                        alice_elems[(b_sym, a_sym)] = acc
+                    kraus = [
+                        np.sqrt(t[i_a, i_b, o_a, o_b]) * k
+                        for i_a in range(n_ia)
+                        if t[i_a, i_b, o_a, o_b] > 0.0
+                        for k in a.element(i_a, x).kraus
+                    ]
+                    if kraus:
+                        alice_elems[(b_sym, i_b * n_x + x)] = CpMap(
+                            a.in_dim, a.out_dim, tuple(kraus)
+                        )
     alice_new = Instrument(n_new_b, n_new_a, a.in_dim, a.out_dim, alice_elems)
 
-    bob_elems = {}
-    for i_b in range(n_ib):
-        for x in range(n_x):
-            a_sym = i_b * n_x + x
-            o_a = x
-            for o_b in range(n_ob):
-                b_sym = o_a * n_ob + o_b
-                el = b.element(i_b, o_b)
-                if el.kraus:
-                    bob_elems[(a_sym, b_sym)] = el
+    bob_elems = {
+        (i_b * n_x + x, x * n_ob + o_b): el
+        for (i_b, o_b), el in b.elements.items()
+        for x in range(n_x)
+    }
     bob_new = Instrument(n_new_a, n_new_b, b.in_dim, b.out_dim, bob_elems)
     return alice_new, bob_new
 
@@ -243,26 +247,19 @@ def collapse_sequence(seq) -> Instrument:
     seq = list(seq)
     if not seq:
         raise ValueError("cannot collapse an empty sequence")
-    in_alphas = [inst.in_alphabet for inst in seq]
-    out_alphas = [inst.out_alphabet for inst in seq]
     for k in range(len(seq) - 1):
         if seq[k].out_dim != seq[k + 1].in_dim:
             raise DimensionError(f"quantum dims do not chain between rounds {k} and {k + 1}")
-    n_in = int(np.prod(in_alphas))
-    n_out = int(np.prod(out_alphas))
-    elements = {}
-    for i_tuple in np.ndindex(*in_alphas):
-        for o_tuple in np.ndindex(*out_alphas):
-            chain = seq[0].element(i_tuple[0], o_tuple[0])
-            for k in range(1, len(seq)):
-                if not chain.kraus:
-                    break
-                chain = chain.then(seq[k].element(i_tuple[k], o_tuple[k]))
-            if chain.kraus:
-                i_sym = int(np.ravel_multi_index(i_tuple, in_alphas))
-                o_sym = int(np.ravel_multi_index(o_tuple, out_alphas))
-                elements[(i_sym, o_sym)] = chain
-    return Instrument(n_in, n_out, seq[0].in_dim, seq[-1].out_dim, elements)
+    chains = dict(seq[0].elements)
+    for inst in seq[1:]:
+        chains = {
+            (i * inst.in_alphabet + i_k, o * inst.out_alphabet + o_k): chain.then(el)
+            for (i, o), chain in chains.items()
+            for (i_k, o_k), el in inst.elements.items()
+        }
+    n_in = math.prod(inst.in_alphabet for inst in seq)
+    n_out = math.prod(inst.out_alphabet for inst in seq)
+    return Instrument(n_in, n_out, seq[0].in_dim, seq[-1].out_dim, chains)
 
 
 def compose_locc_protocol(p: LoccProtocol) -> CpMap:
@@ -289,14 +286,16 @@ def compose_locc_protocol(p: LoccProtocol) -> CpMap:
 
 
 def compose_wired(alice_rounds, bob_rounds, wiring: CondDist) -> CpMap:
-    """Direct contraction of per-round instruments against an aggregate wiring.
+    """Contraction of per-round instruments against an aggregate wiring.
 
     Wiring input slots are (i_1..i_N of Alice, then i'_1..i'_M of Bob); output
-    slots follow the same party order.
+    slots follow the same party order.  The kernel on ``collapse_sequence`` of
+    each party's rounds under the wiring table reshaped row-major to
+    (prod i_A, prod i_B, prod o_A, prod o_B); a party without rounds is the
+    identity on a 1-dim system.
     """
     alice_rounds = list(alice_rounds)
     bob_rounds = list(bob_rounds)
-    n, m = len(alice_rounds), len(bob_rounds)
     want_in = tuple(r.in_alphabet for r in alice_rounds) + tuple(r.in_alphabet for r in bob_rounds)
     want_out = tuple(r.out_alphabet for r in alice_rounds) + tuple(
         r.out_alphabet for r in bob_rounds
@@ -306,40 +305,13 @@ def compose_wired(alice_rounds, bob_rounds, wiring: CondDist) -> CpMap:
             f"wiring alphabets {wiring.input_alphabets}|{wiring.output_alphabets} do not "
             f"match round alphabets {want_in}|{want_out}"
         )
-    a_in = alice_rounds[0].in_dim if n else 1
-    b_in = bob_rounds[0].in_dim if m else 1
-    a_out = alice_rounds[-1].out_dim if n else 1
-    b_out = bob_rounds[-1].out_dim if m else 1
-    kraus = []
-    it = np.ndindex(*(want_in + want_out)) if (want_in + want_out) else [()]
-    for idx in it:
-        i_a, i_b = idx[:n], idx[n : n + m]
-        o_a, o_b = idx[n + m : 2 * n + m], idx[2 * n + m :]
-        w = float(wiring.table[idx])
-        if w <= 0.0:
-            continue
-        a_chain = identity_map(a_in)
-        ok = True
-        for k in range(n):
-            el = alice_rounds[k].element(i_a[k], o_a[k])
-            if not el.kraus:
-                ok = False
-                break
-            a_chain = a_chain.then(el)
-        if not ok:
-            continue
-        b_chain = identity_map(b_in)
-        for k in range(m):
-            el = bob_rounds[k].element(i_b[k], o_b[k])
-            if not el.kraus:
-                ok = False
-                break
-            b_chain = b_chain.then(el)
-        if not ok:
-            continue
-        s = np.sqrt(w)
-        kraus.extend(s * np.kron(ka, kb) for ka in a_chain.kraus for kb in b_chain.kraus)
-    return CpMap(a_in * b_in, a_out * b_out, tuple(kraus))
+    trivial = Instrument(1, 1, 1, 1, {(0, 0): identity_map(1)})
+    alice = collapse_sequence(alice_rounds) if alice_rounds else trivial
+    bob = collapse_sequence(bob_rounds) if bob_rounds else trivial
+    ins = (alice.in_alphabet, bob.in_alphabet)
+    outs = (alice.out_alphabet, bob.out_alphabet)
+    joint = CondDist(ins, outs, wiring.table.reshape(ins + outs))
+    return compose_ccstar(JointMapSpec(alice, bob, joint))
 
 
 def operator_norm_of_gram(cp: CpMap) -> float:
@@ -429,10 +401,6 @@ def mix_wirings(q: float, p1: CondDist, p2: CondDist) -> CondDist:
     return CondDist(p1.input_alphabets, p1.output_alphabets, q * p1.table + (1 - q) * p2.table)
 
 
-def tp_defect_of_spec(spec: JointMapSpec) -> float:
-    return tp_defect(compose_ccstar(spec))
-
-
 __all__ = [
     "AlphabetError",
     "CondDist",
@@ -452,7 +420,6 @@ __all__ = [
     "sep_table_instruments",
     "slocc_star_decompose",
     "to_loop_form",
-    "tp_defect_of_spec",
     "trace_and_replace_mixed",
     "validate_instrument",
 ]

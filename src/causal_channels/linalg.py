@@ -93,10 +93,6 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     return float(np.linalg.norm(m - m.conj().T)) <= tol * max(1, m.shape[0])
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    return np.linalg.eigvalsh(as_matrix(m))
-
-
 def is_positive_semidefinite(m, tol: float = DEFAULT_TOL) -> bool:
     """PSD check via the Hermitian eigensolver.
 

@@ -195,13 +195,14 @@ def _one_way_protocol(first: Instrument, first_weights, cond, second: Instrument
     follow_elems = {}
     for i in range(n_i):
         for o in range(n_o):
-            avg = CpMap(second.in_dim, second.out_dim, ())
-            for (i2, o2), el in second.elements.items():
-                wgt = float(cond[i2, i, o])
-                if wgt > 0.0:
-                    avg = avg + el.scaled(wgt)
-            if avg.kraus:
-                follow_elems[(i * n_o + o, 0)] = avg
+            kraus = [
+                np.sqrt(cond[i2, i, o]) * k
+                for (i2, _), el in second.elements.items()
+                if cond[i2, i, o] > 0.0
+                for k in el.kraus
+            ]
+            if kraus:
+                follow_elems[(i * n_o + o, 0)] = CpMap(second.in_dim, second.out_dim, tuple(kraus))
     follow_inst = Instrument(n_i * n_o, 1, second.in_dim, second.out_dim, follow_elems)
     rounds = ((lead, lead_inst), ("B" if lead == "A" else "A", follow_inst))
     a_inst = lead_inst if lead == "A" else follow_inst

@@ -12,7 +12,6 @@ from .channels import (
     Instrument,
     apply_cp_map,
     is_trace_preserving,
-    tensor_map,
 )
 from .composition import (
     compose_loop,
@@ -45,11 +44,11 @@ class SepMap:
         object.__setattr__(self, "terms", terms)
 
     def joint_map(self) -> CpMap:
-        total = None
-        for ea, eb in self.terms:
-            t = tensor_map(ea, eb)
-            total = t if total is None else total + t
-        return total
+        a0, b0 = self.terms[0]
+        kraus = tuple(
+            np.kron(ka, kb) for ea, eb in self.terms for ka in ea.kraus for kb in eb.kraus
+        )
+        return CpMap(a0.in_dim * b0.in_dim, a0.out_dim * b0.out_dim, kraus)
 
 
 def validate_sep(m: SepMap, tol: float = DEFAULT_TOL) -> bool:

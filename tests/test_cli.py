@@ -25,6 +25,13 @@ def test_discriminate_nine_passes(capsys):
     assert report["pass"] and len(report["states"]) == 9
 
 
+def test_discriminate_nine_reads_the_tolerance_variable(capsys, monkeypatch):
+    # the worst state distance is about 3.3e-16, above this tolerance
+    monkeypatch.setenv("CAUSAL_CHANNELS_TOL", "1e-17")
+    code, out = run(["discriminate-nine"], capsys)
+    assert code == 1 and not json.loads(out)["pass"]
+
+
 def test_verify_instrument(tmp_path, capsys):
     inst = random_instrument(2, 2, 2, 2, 1, 0)
     path = tmp_path / "inst.json"
@@ -161,7 +168,7 @@ def test_procmat_commands_share_the_tolerance(tmp_path, capsys, monkeypatch):
     col[tuple(1 - i for i in src)] += 1e-6  # some strategy masses now miss 1 by 1e-6
     path = tmp_path / "w.json"
     serialize.save(path, ClassicalProcess(2, 2, 2, 2, t), "classical_process")
-    for command in ("check-procmat", "decompose-procmat"):
+    for command in ("check-procmat", "decompose-procmat", "probe-procmat"):
         assert run([command, str(path)], capsys)[0] == 1
         assert run([command, str(path), "--tol", "1e-5"], capsys)[0] == 0
         monkeypatch.setenv("CAUSAL_CHANNELS_TOL", "1e-5")

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -177,3 +180,126 @@ def test_mix_wirings_is_convex():
     d2 = CondDist((2,), (2,), t)
     mixed = mix_wirings(0.25, d1, d2)
     assert np.allclose(mixed.table, 0.25 * d1.table + 0.75 * t)
+
+
+# Differential tests against the plain-numpy link products of the benchmark
+# oracle, which shares no code with the library.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+import oracle  # noqa: E402
+
+D = 2
+ORACLE_TOL = 1e-10
+
+
+def _oracle_inst(inst):
+    return {
+        "n_in": inst.in_alphabet,
+        "n_out": inst.out_alphabet,
+        "din": inst.in_dim,
+        "dout": inst.out_dim,
+        "elems": {key: list(el.kraus) for key, el in inst.elements.items()},
+    }
+
+
+def _random_table(ins, outs, rng):
+    """p(inputs | outputs) with some entries zero, inputs first and outputs last."""
+    n_in, n_out = int(np.prod(ins)), int(np.prod(outs))
+    t = rng.dirichlet(np.ones(n_in), size=n_out) * (rng.random((n_out, n_in)) < 0.7)
+    t[np.arange(n_out), rng.integers(0, n_in, n_out)] += 0.1
+    t /= t.sum(axis=1, keepdims=True)
+    return t.T.reshape(tuple(ins) + tuple(outs))
+
+
+def _trace_out_bob(choi, d_a, d_b):
+    """Choi of A from the Choi of A (x) id_{d_b}, subsystems (in_A, in_B, out_A, out_B)."""
+    c = choi.reshape(d_a, d_b, d_a, d_b, d_a, d_b, d_a, d_b)
+    return np.einsum("aibjcidj->abcd", c).reshape(d_a * d_a, d_a * d_a) / d_b
+
+
+def _trace_out_alice(choi, d_a, d_b):
+    """Choi of B from the Choi of id_{d_a} (x) B."""
+    c = choi.reshape(d_a, d_b, d_a, d_b, d_a, d_b, d_a, d_b)
+    return np.einsum("iajbicjd->abcd", c).reshape(d_b * d_b, d_b * d_b) / d_a
+
+
+def _oracle_gap(cp, want):
+    return float(np.abs(oracle.kraus_choi(cp.kraus, cp.in_dim, cp.out_dim) - want).max())
+
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    alphabet = st.integers(1, 3)
+    seeds = st.integers(0, 2**31 - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(alphabet, alphabet, alphabet, alphabet, seeds)
+    def test_ccstar_matches_the_link_product(n_ia, n_ib, n_oa, n_ob, seed):
+        rng = np.random.default_rng(seed)
+        alice = random_instrument(n_ia, n_oa, D, D, 1, rng)
+        bob = random_instrument(n_ib, n_ob, D, D, 1, rng)
+        table = _random_table((n_ia, n_ib), (n_oa, n_ob), rng)
+        spec = JointMapSpec(alice, bob, CondDist((n_ia, n_ib), (n_oa, n_ob), table))
+        want = oracle.wired_choi(_oracle_inst(alice), _oracle_inst(bob), table)
+        assert _oracle_gap(compose_ccstar(spec), want) < ORACLE_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(alphabet, alphabet, seeds)
+    def test_loop_matches_the_link_product(n_a, n_b, seed):
+        rng = np.random.default_rng(seed)
+        alice = random_instrument(n_b, n_a, D, D, 1, rng)
+        bob = random_instrument(n_a, n_b, D, D, 1, rng)
+        want = oracle.wired_choi(
+            _oracle_inst(alice), _oracle_inst(bob), oracle.loop_table(n_b, n_a, n_a, n_b)
+        )
+        assert _oracle_gap(compose_loop(alice, bob), want) < ORACLE_TOL
+
+    @settings(max_examples=30, deadline=None)
+    @given(alphabet, seeds)
+    def test_one_way_matches_the_link_product(n, seed):
+        rng = np.random.default_rng(seed)
+        alice = random_instrument(1, n, D, D, 1, rng)
+        bob_maps = [random_cptp(D, D, 2, rng) for _ in range(n)]
+        bob = {"n_in": n, "n_out": 1, "din": D, "dout": D,
+               "elems": {(o, 0): list(m.kraus) for o, m in enumerate(bob_maps)}}
+        copy = np.zeros((1, n, n, 1))
+        copy[0, np.arange(n), np.arange(n), 0] = 1.0
+        want = oracle.wired_choi(_oracle_inst(alice), bob, copy)
+        assert _oracle_gap(compose_one_way(alice, bob_maps), want) < ORACLE_TOL
+
+    rounds = st.lists(st.tuples(alphabet, alphabet), min_size=0, max_size=2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rounds, rounds, seeds)
+    def test_wired_matches_the_link_product(a_alphabets, b_alphabets, seed):
+        rng = np.random.default_rng(seed)
+        alice = [random_instrument(i, o, D, D, 1, rng) for i, o in a_alphabets]
+        bob = [random_instrument(i, o, D, D, 1, rng) for i, o in b_alphabets]
+        ins = [i for i, _ in a_alphabets + b_alphabets]
+        outs = [o for _, o in a_alphabets + b_alphabets]
+        table = _random_table(ins, outs, rng)
+        want = oracle.wired_rounds_choi(
+            [_oracle_inst(x) for x in alice], [_oracle_inst(x) for x in bob], table, D
+        )
+        # the oracle gives a party without rounds the identity on a D-dim system
+        if not alice:
+            want = _trace_out_alice(want, D, D)
+        if not bob:
+            want = _trace_out_bob(want, D if alice else 1, D)
+        wired = compose_wired(alice, bob, CondDist(tuple(ins), tuple(outs), table))
+        assert _oracle_gap(wired, want) < ORACLE_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("AB"), alphabet), min_size=1, max_size=4), seeds)
+    def test_protocol_matches_the_link_product(plan, seed):
+        rng = np.random.default_rng(seed)
+        steps, prev = [], 1
+        for party, n_out in plan:
+            steps.append((party, random_instrument(prev, n_out, D, D, 1, rng)))
+            prev = n_out
+        p = LoccProtocol(tuple(steps), D, D)
+        want = oracle.protocol_choi([(q, _oracle_inst(x)) for q, x in steps], D, D)
+        assert _oracle_gap(compose_locc_protocol(p), want) < ORACLE_TOL
+except ImportError:  # pragma: no cover - hypothesis is an optional test dependency
+    pass
