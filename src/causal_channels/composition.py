@@ -143,11 +143,36 @@ class LoccProtocol:
         return qdim["A"], qdim["B"]
 
 
+def _link(a: Instrument, b: Instrument, pairs) -> CpMap:
+    """The one contraction behind every wired form (the link product).
+
+    ``pairs`` yields (ea, eb, p) for the element pairs the wiring supports,
+    p = p(i_A, i_B | o_A, o_B) > 0; each contributes the Kraus operators
+    sqrt(p) * (ka (x) kb).
+    """
+    kraus = []
+    for ea, eb, w in pairs:
+        s = np.sqrt(w)
+        kraus.extend(s * np.kron(ka, kb) for ka in ea.kraus for kb in eb.kraus)
+    return CpMap(a.in_dim * b.in_dim, a.out_dim * b.out_dim, tuple(kraus))
+
+
+def _table_pairs(a: Instrument, b: Instrument, table):
+    """Element pairs of positive weight under a table indexed (i_A, i_B, o_A, o_B)."""
+    for (i_a, o_a), ea in a.elements.items():
+        for (i_b, o_b), eb in b.elements.items():
+            w = table[i_a, i_b, o_a, o_b]
+            if w > 0.0:
+                yield ea, eb, w
+
+
 def compose_one_way(alice: Instrument, bob_maps) -> CpMap:
     """One-way composition: Alice measures, Bob applies the o-th TP map.
 
     The kernel on Bob's maps as an n -> 1 instrument under the copy wiring
     ``delta_wiring((1, n), (n, 1), (("const", 0), 0))``: i_A = 0, i_B = o_A.
+    The wiring is deterministic, so each Alice element is paired with its one
+    Bob element directly, without building the table.
     """
     if alice.in_alphabet != 1:
         raise AlphabetError("one-way composition needs an input-free Alice instrument")
@@ -158,26 +183,17 @@ def compose_one_way(alice: Instrument, bob_maps) -> CpMap:
     bob = Instrument(
         n, 1, bob_maps[0].in_dim, bob_maps[0].out_dim, {(o, 0): m for o, m in enumerate(bob_maps)}
     )
-    copy = delta_wiring((1, n), (n, 1), (("const", 0), 0))
-    return compose_ccstar(JointMapSpec(alice, bob, copy))
+    pairs = ((ea, bob_maps[o_a], 1.0) for (_, o_a), ea in alice.elements.items())
+    return _link(alice, bob, pairs)
 
 
 def compose_ccstar(spec: JointMapSpec) -> CpMap:
     """The wired joint map; CP always, not necessarily trace preserving.
 
-    The one contraction behind every wired form: each pair of elements with
-    weight p = p(i_A, i_B | o_A, o_B) > 0 contributes the Kraus operators
-    sqrt(p) * (ka (x) kb).
+    The kernel on every element pair of positive weight in the wiring table.
     """
-    a, b, t = spec.alice, spec.bob, spec.wiring.table
-    kraus = []
-    for (i_a, o_a), ea in a.elements.items():
-        for (i_b, o_b), eb in b.elements.items():
-            w = t[i_a, i_b, o_a, o_b]
-            if w > 0.0:
-                s = np.sqrt(w)
-                kraus.extend(s * np.kron(ka, kb) for ka in ea.kraus for kb in eb.kraus)
-    return CpMap(a.in_dim * b.in_dim, a.out_dim * b.out_dim, tuple(kraus))
+    a, b = spec.alice, spec.bob
+    return _link(a, b, _table_pairs(a, b, spec.wiring.table))
 
 
 def is_locc_star_member(spec: JointMapSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -187,15 +203,21 @@ def is_locc_star_member(spec: JointMapSpec, tol: float = DEFAULT_TOL) -> bool:
 def compose_loop(alice: Instrument, bob: Instrument) -> CpMap:
     """Loop composition sum_{a,b} A_{a|b} (x) B_{b|a}; may be non-TP.
 
-    The kernel on ``loop_wiring``: i_A = o_B and i_B = o_A.
+    The kernel on ``loop_wiring``: i_A = o_B and i_B = o_A.  The wiring is
+    deterministic, so each Alice element is paired with its one Bob element
+    directly, without building the table.
     """
     if alice.in_alphabet != bob.out_alphabet or alice.out_alphabet != bob.in_alphabet:
         raise AlphabetError(
             f"loop alphabets do not match: Alice {alice.in_alphabet}->{alice.out_alphabet}, "
             f"Bob {bob.in_alphabet}->{bob.out_alphabet}"
         )
-    loop = loop_wiring(alice.out_alphabet, bob.out_alphabet)
-    return compose_ccstar(JointMapSpec(alice, bob, loop))
+    pairs = (
+        (ea, bob.elements[(a_sym, b_sym)], 1.0)
+        for (b_sym, a_sym), ea in alice.elements.items()
+        if (a_sym, b_sym) in bob.elements
+    )
+    return _link(alice, bob, pairs)
 
 
 def to_loop_form(spec: JointMapSpec) -> tuple[Instrument, Instrument]:
@@ -308,10 +330,8 @@ def compose_wired(alice_rounds, bob_rounds, wiring: CondDist) -> CpMap:
     trivial = Instrument(1, 1, 1, 1, {(0, 0): identity_map(1)})
     alice = collapse_sequence(alice_rounds) if alice_rounds else trivial
     bob = collapse_sequence(bob_rounds) if bob_rounds else trivial
-    ins = (alice.in_alphabet, bob.in_alphabet)
-    outs = (alice.out_alphabet, bob.out_alphabet)
-    joint = CondDist(ins, outs, wiring.table.reshape(ins + outs))
-    return compose_ccstar(JointMapSpec(alice, bob, joint))
+    shape = (alice.in_alphabet, bob.in_alphabet, alice.out_alphabet, bob.out_alphabet)
+    return _link(alice, bob, _table_pairs(alice, bob, wiring.table.reshape(shape)))
 
 
 def operator_norm_of_gram(cp: CpMap) -> float:

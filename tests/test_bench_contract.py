@@ -77,3 +77,9 @@ def test_traced_run_matches_untraced_run(req, tracer, tmp_path):
     assert oracle.check(req, code, json.loads(untraced)) is None
     entry = layer_times(tracer.spans)[req["kind"]]
     assert ROOT in entry["self"] and "serialize.dumps" in entry["self"]
+    # No traced compose_* calls another, so composition.kraus_out counts each
+    # joint map once and each composition span's time is its own.
+    spans = [rec for rec in tracer.spans if rec[0] == req["kind"]]
+    for rec in spans:
+        if rec[1].startswith("composition.") and rec[4] is not None:
+            assert not tracer.spans[rec[4]][1].startswith("composition.")

@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,40 @@ def test_slocc_star_decompose_scale_and_recombination():
     scale, spec = slocc_star_decompose([(ea, eb)])
     assert scale == 3
     assert choi_distance(compose_ccstar(spec), tensor_map(ea, eb)) < 1e-10
+
+
+def _peak_mb(fn):
+    """Peak traced allocation, in MB, of one call to ``fn``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_loop_composition_of_many_separable_terms_stays_small():
+    # compile-sep loop-composes a (K+2)-symbol pair; a dense loop table would
+    # hold (K+2)^4 floats, about 118 MB here, where the pairs need kilobytes.
+    rng = np.random.default_rng(10)
+    inst = random_instrument(1, 60, 2, 2, 1, rng)
+    terms = [(inst.element(0, k), random_cptp(2, 2, 1, rng)) for k in range(60)]
+    alice, bob = sep_table_instruments(terms)
+    joint, peak = _peak_mb(lambda: compose_loop(alice, bob))
+    assert peak < 8.0
+    target = CpMap(4, 4, tuple(k for ea, eb in terms for k in tensor_map(ea, eb).kraus))
+    assert choi_distance(joint, target) < 1e-10
+
+
+def test_one_way_composition_of_a_wide_alphabet_stays_small():
+    # A dense copy table would hold n^2 floats (8 MB) and pair n^2 elements.
+    rng = np.random.default_rng(11)
+    n = 1000
+    alice = random_instrument(1, n, 2, 2, 1, rng)
+    bob_maps = [random_cptp(2, 2, 1, rng)] * n
+    joint, peak = _peak_mb(lambda: compose_one_way(alice, bob_maps))
+    assert peak < 4.0
+    assert len(joint.kraus) == n and is_trace_preserving(joint)
 
 
 def test_mix_wirings_is_convex():
