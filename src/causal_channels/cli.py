@@ -8,6 +8,7 @@ Reports are JSON by default (deterministic bytes for fixed inputs and seed);
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -19,6 +20,7 @@ from .causal import CausalOrderError, ReconstructionSizeError, find_causal_viola
 from .causal import reconstruct_locc
 from .channels import choi_of, tp_defect, validate_instrument
 from .composition import (
+    AlphabetError,
     compose_ccstar,
     compose_locc_protocol,
     compose_loop,
@@ -39,14 +41,6 @@ from .sep import MembershipError, sep_to_locc_star, verify_nine_state_discrimina
 from .serialize import SchemaError
 
 
-class VerificationFailure(Exception):
-    """Raised by handlers when a check fails; carries the report."""
-
-    def __init__(self, report):
-        super().__init__("verification failed")
-        self.report = report
-
-
 class InputError(Exception):
     pass
 
@@ -63,25 +57,27 @@ def _resolve_tol(args) -> float:
     return DEFAULT_TOL
 
 
-def _load(path, schema):
+@contextlib.contextmanager
+def _input_errors(path, kinds=(ValueError, TypeError, KeyError, AttributeError)):
+    """Turn a missing file, a schema error or an error of ``kinds`` into InputError."""
     try:
-        return serialize.load(path, schema)
+        yield
     except FileNotFoundError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except SchemaError as exc:
         raise InputError(str(exc)) from exc
-    except (ValueError, TypeError, KeyError) as exc:
+    except kinds as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _load(path, schema):
+    with _input_errors(path):
+        return serialize.load(path, schema)
+
+
 def _load_raw(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not well-formed JSON ({exc})") from exc
+    with _input_errors(path), open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _strip_durations(obj):
@@ -118,7 +114,9 @@ def _emit(report, args) -> None:
     if args.format == "text":
         text = "\n".join(_summary_lines(report)) + "\n"
     else:
-        text = serialize.dumps(_strip_durations(report)) + "\n"
+        if "duration" in report:  # only selftest reports carry timings
+            report = _strip_durations(report)
+        text = serialize.dumps(report) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -127,60 +125,51 @@ def _emit(report, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns a passing report or raises VerificationFailure
+# handlers: each returns its report; main exits 1 when it does not pass
 
 
 def _cmd_verify_instrument(args):
     inst = _load(args.file, "instrument")
     tol = _resolve_tol(args)
-    ok = validate_instrument(inst, tol)
-    report = {
-        "pass": ok,
+    return {
+        "pass": validate_instrument(inst, tol),
         "in_alphabet": inst.in_alphabet,
         "out_alphabet": inst.out_alphabet,
         "tolerance": tol,
     }
-    if not ok:
-        raise VerificationFailure(report)
-    return report
 
 
 def _cmd_compose(args):
     tol = _resolve_tol(args)
     if args.mode == "one-way":
         obj = _load_raw(args.file)
-        try:
+        with _input_errors(args.file):
             alice = serialize.decode_instrument(obj.get("alice"), "one_way.alice")
             bob_maps = [
                 serialize.decode_cp_map(c, f"one_way.bob_maps[{j}]")
                 for j, c in enumerate(obj.get("bob_maps", []))
             ]
-        except SchemaError as exc:
-            raise InputError(str(exc)) from exc
-        joint = compose_one_way(alice, bob_maps)
+        with _input_errors(args.file, (AlphabetError, DimensionError)):
+            joint = compose_one_way(alice, bob_maps)
     elif args.mode == "protocol":
         joint = compose_locc_protocol(_load(args.file, "locc_protocol"))
     elif args.mode == "ccstar":
         joint = compose_ccstar(_load(args.file, "joint_map_spec"))
     else:  # loop
         obj = _load_raw(args.file)
-        try:
+        with _input_errors(args.file):
             alice = serialize.decode_instrument(obj.get("alice"), "loop.alice")
             bob = serialize.decode_instrument(obj.get("bob"), "loop.bob")
-        except SchemaError as exc:
-            raise InputError(str(exc)) from exc
-        joint = compose_loop(alice, bob)
+        with _input_errors(args.file, (AlphabetError, DimensionError)):
+            joint = compose_loop(alice, bob)
     defect = tp_defect(joint)
-    report = {
+    return {
         "pass": defect <= tol,
         "mode": args.mode,
         "tp_defect": defect,
         "tolerance": tol,
         "choi": serialize.encode_matrix(choi_of(joint).matrix),
     }
-    if not report["pass"]:
-        raise VerificationFailure(report)
-    return report
 
 
 def _cmd_compile_sep(args):
@@ -189,45 +178,34 @@ def _cmd_compile_sep(args):
     try:
         alice, bob = sep_to_locc_star(m, tol)
     except MembershipError as exc:
-        raise VerificationFailure({"pass": False, "error": str(exc)}) from exc
+        return {"pass": False, "error": str(exc)}
     looped = compose_loop(alice, bob)
     dist = float(np.linalg.norm(choi_of(looped).matrix - choi_of(m.joint_map()).matrix))
-    report = {
+    return {
         "pass": dist <= max(tol, 1e-8),
         "roundtrip_choi_distance": dist,
         "alice": serialize.encode_instrument(alice),
         "bob": serialize.encode_instrument(bob),
     }
-    if not report["pass"]:
-        raise VerificationFailure(report)
-    return report
 
 
 def _cmd_discriminate_nine(args):
-    report = verify_nine_state_discrimination(_resolve_tol(args))
-    if not report["pass"]:
-        raise VerificationFailure(report)
-    return report
+    return verify_nine_state_discrimination(_resolve_tol(args))
 
 
 def _cmd_check_causal(args):
     wiring = _load(args.wiring, "aggregate_wiring")
     order = _load(args.order, "causal_order")
     witness = find_causal_violation(wiring, order)
-    if witness is not None:
-        k, l, label = witness
-        raise VerificationFailure(
-            {
-                "pass": False,
-                "witness": {"k": k, "l": l, "party": label.party, "round": label.round},
-            }
-        )
-    return {"pass": True}
+    if witness is None:
+        return {"pass": True}
+    k, l, label = witness
+    return {"pass": False, "witness": {"k": k, "l": l, "party": label.party, "round": label.round}}
 
 
 def _cmd_reconstruct_locc(args):
     obj = _load_raw(args.fixture)
-    try:
+    with _input_errors(args.fixture):
         alice_rounds = [
             serialize.decode_instrument(x, f"fixture.alice_rounds[{j}]")
             for j, x in enumerate(obj.get("alice_rounds", []))
@@ -238,13 +216,11 @@ def _cmd_reconstruct_locc(args):
         ]
         wiring = serialize.decode_aggregate_wiring(obj.get("wiring"), "fixture.wiring")
         order = serialize.decode_causal_order(obj.get("order"), "fixture.order")
-    except SchemaError as exc:
-        raise InputError(str(exc)) from exc
     tol = max(_resolve_tol(args), 1e-8)
     try:
         protocol = reconstruct_locc(alice_rounds, bob_rounds, wiring, order)
     except CausalOrderError as exc:
-        raise VerificationFailure({"pass": False, "error": str(exc)}) from exc
+        return {"pass": False, "error": str(exc)}
     except ReconstructionSizeError as exc:
         raise InputError(str(exc)) from exc
     direct = compose_wired(alice_rounds, bob_rounds, wiring.dist)
@@ -253,22 +229,17 @@ def _cmd_reconstruct_locc(args):
             choi_of(compose_locc_protocol(protocol)).matrix - choi_of(direct).matrix
         )
     )
-    report = {
+    return {
         "pass": dist <= tol,
         "choi_distance": dist,
         "protocol": serialize.encode_locc_protocol(protocol),
     }
-    if not report["pass"]:
-        raise VerificationFailure(report)
-    return report
 
 
 def _cmd_check_procmat(args):
     w = _load(args.file, "classical_process")
     witness = find_violating_strategy(w, max(_resolve_tol(args), 1e-9))
-    if witness is not None:
-        raise VerificationFailure({"pass": False, "witness": witness})
-    return {"pass": True}
+    return {"pass": True} if witness is None else {"pass": False, "witness": witness}
 
 
 def _cmd_decompose_procmat(args):
@@ -279,43 +250,34 @@ def _cmd_decompose_procmat(args):
         report = {"pass": False, "error": str(exc)}
         if exc.witness is not None:
             report["witness"] = exc.witness
-        raise VerificationFailure(report) from exc
-    report = {
+        return report
+    return {
         "pass": True,
         "recombination_error": recombination_error(dec, w),
         "decomposition": serialize.encode_causal_decomposition(dec),
     }
-    return report
 
 
 def _cmd_probe_procmat(args):
     obj = _load_raw(args.file)
-    if "table" in obj:
+    if isinstance(obj, dict) and "table" in obj:
         w = _load(args.file, "classical_process")
         matrix = classical_process_to_choi(w)
         dims = (w.n_ia, w.n_oa, w.n_ib, w.n_ob)
     else:
-        try:
+        with _input_errors(args.file):
             matrix = serialize.decode_matrix(obj.get("matrix"), "probe.matrix")
             dims = tuple(int(obj[k]) for k in ("n_ia", "n_oa", "n_ib", "n_ob"))
-        except (SchemaError, KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{args.file}: {exc}") from exc
     try:
-        report = probe_quantum_process(
+        return probe_quantum_process(
             matrix, *dims, probes=args.probes, seed=args.seed, tol=_resolve_tol(args)
         )
     except (PositivityError, DimensionError) as exc:
         raise InputError(str(exc)) from exc
-    if not report["pass"]:
-        raise VerificationFailure(report)
-    return report
 
 
 def _cmd_selftest(args):
-    report = run_all(seed=args.seed)
-    if not report["pass"]:
-        raise VerificationFailure(report)
-    return report
+    return run_all(seed=args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,14 +345,11 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         report = args.handler(args)
-    except VerificationFailure as exc:
-        _emit(exc.report, args)
-        return 1
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     _emit(report, args)
-    return 0
+    return 0 if report["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -178,6 +178,8 @@ def compose_one_way(alice: Instrument, bob_maps) -> CpMap:
         raise AlphabetError("one-way composition needs an input-free Alice instrument")
     bob_maps = list(bob_maps)
     n = alice.out_alphabet
+    if n == 0:
+        raise AlphabetError("one-way composition needs an Alice instrument with outcomes")
     if len(bob_maps) != n:
         raise AlphabetError(f"Bob map count {len(bob_maps)} != Alice output alphabet {n}")
     bob = Instrument(

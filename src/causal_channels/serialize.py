@@ -3,12 +3,16 @@
 All matrices use `{"rows": r, "cols": c, "data": [[re, im], ...]}` row-major.
 Probability tables are flattened so that input indices vary fastest (the first
 listed axis is the fastest; column-major flattening of the stored tensor).
-Saving is byte-deterministic: sorted keys and 17-significant-digit floats.
+Saving is byte-deterministic: sorted keys, ASCII-escaped strings, and floats
+to 17 significant digits, integer-valued ones with |x| < 1e16 as `x.0`.  A
+report is formatted in one pass, all its floats by a single `%` operation.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -45,12 +49,9 @@ def _int(obj, field, where):
 # matrices and channels
 
 def encode_matrix(m) -> dict:
-    a = np.asarray(m, dtype=np.complex128)
-    return {
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "data": [[float(x.real), float(x.imag)] for x in a.reshape(-1)],
-    }
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    data = a.view(np.float64).reshape(-1, 2).tolist()  # [re, im] pairs, row-major
+    return {"rows": a.shape[0], "cols": a.shape[1], "data": data}
 
 
 def decode_matrix(obj, where="matrix") -> np.ndarray:
@@ -127,7 +128,7 @@ def decode_instrument(obj, where="instrument") -> Instrument:
 # conditional distributions and composition specs
 
 def _encode_table(table: np.ndarray) -> list:
-    return [float(x) for x in np.asarray(table).ravel(order="F")]
+    return np.asarray(table, dtype=np.float64).ravel(order="F").tolist()
 
 
 def _decode_table(flat, shape, where) -> np.ndarray:
@@ -328,33 +329,71 @@ SCHEMAS = {
 }
 
 
-def _format_value(value) -> str:
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
+def _walk(value, out: list, floats: list, heads: dict) -> None:
+    """Append the text of ``value`` to ``out``, a NUL for each float; ``heads`` caches keys."""
     if isinstance(value, dict):
-        items = sorted(value.items())
-        inner = ",".join(f"{json.dumps(str(k))}:{_format_value(v)}" for k, v in items)
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_format_value(v) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ValueError("cannot serialize non-finite float")
-        if value == int(value) and abs(value) < 1e16:
-            return f"{value:.1f}"
-        return format(value, ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        sep = "{"
+        for key in sorted(value):
+            name, item = str(key), value[key]
+            head = heads.get(name)
+            if head is None:
+                head = heads[name] = _quote(name).replace("%", "%%") + ":"
+            if type(item) is int or (type(item) is list and not item):  # dims, zero maps
+                out.append(f"{sep}{head}{item}")
+            else:
+                out.append(sep + head)
+                _walk(item, out, floats, heads)
+            sep = ","
+        out.append("}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds == {float}:
+            out.append(("[" + "\0," * len(value))[:-1] + "]")
+            floats.extend(value)
+        elif (kinds == {list} and set(map(len, value)) == {2}
+              and set(map(type, chain.from_iterable(value))) == {float}):
+            out.append(("[" + "[\0,\0]," * len(value))[:-1] + "]")  # matrix data
+            floats.extend(chain.from_iterable(value))
+        else:
+            sep = "["
+            for item in value:
+                out.append(sep)
+                _walk(item, out, floats, heads)
+                sep = ","
+            out.append("]" if value else "[]")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, float):
+        out.append("\0")
+        floats.append(value)
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, str):
+        out.append(_quote(value).replace("%", "%%"))
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps(value) -> str:
-    return _format_value(value)
+    """Deterministic JSON text of a JSON-like value (see the module docstring).
+
+    Quoted keys and strings hold no raw NUL and have their ``%`` doubled, so
+    the NULs mark the floats; each becomes ``%.1f`` or ``%.17g``.
+    """
+    out, floats = [], []
+    _walk(value, out, floats, {})
+    pieces = "".join(out).split("\0")
+    del out
+    x = np.array(floats, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("cannot serialize non-finite float")
+    fmt = ["%.17g"] * (2 * len(pieces) - 1)
+    fmt[::2] = pieces
+    for j in np.flatnonzero((x == np.trunc(x)) & (np.abs(x) < 1e16)).tolist():
+        fmt[2 * j + 1] = "%.1f"
+    return "".join(fmt) % tuple(floats)
 
 
 def save(path, value, schema: str) -> None:

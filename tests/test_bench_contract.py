@@ -77,6 +77,10 @@ def test_traced_run_matches_untraced_run(req, tracer, tmp_path):
     assert oracle.check(req, code, json.loads(untraced)) is None
     entry = layer_times(tracer.spans)[req["kind"]]
     assert ROOT in entry["self"] and "serialize.dumps" in entry["self"]
+    # serialize.bytes_out counts the characters dumps returns: the report
+    # file without its final newline.
+    assert untraced.endswith(b"\n")
+    assert entry["counts"]["serialize.bytes_out"] == len(untraced) - 1
     # No traced compose_* calls another, so composition.kraus_out counts each
     # joint map once and each composition span's time is its own.
     spans = [rec for rec in tracer.spans if rec[0] == req["kind"]]

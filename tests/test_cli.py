@@ -4,7 +4,7 @@ import os
 import numpy as np
 
 from causal_channels import causal, serialize
-from causal_channels.channels import random_instrument
+from causal_channels.channels import Instrument, random_cptp, random_instrument
 from causal_channels.cli import main
 from causal_channels.composition import LoccProtocol
 from causal_channels.procmat import ClassicalProcess, random_process_mixture
@@ -127,6 +127,14 @@ def test_probe_procmat(tmp_path, capsys):
     assert code == 0 and json.loads(out)["pass"]
 
 
+def _nan_kraus(inst):
+    """The encoded instrument with its first Kraus entry set to NaN."""
+    obj = serialize.encode_instrument(inst)
+    cp = next(cp for row in obj["elements"].values() for cp in row if cp["kraus"])
+    cp["kraus"][0]["data"][0][0] = float("nan")
+    return obj
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     code, _ = run(["verify-instrument", str(tmp_path / "missing.json")], capsys)
     assert code == 2
@@ -147,6 +155,41 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code, _ = run(["probe-procmat", str(small)], capsys)
     assert code == 2
     assert main(["no-such-command"]) == 2
+    # raw-JSON inputs that fail a composition check, or hold a NaN Kraus entry
+    inst = random_instrument(1, 2, 2, 2, 1, 0)
+    loop_a, loop_b = random_instrument(2, 2, 2, 2, 1, 1), random_instrument(2, 2, 2, 2, 1, 2)
+    cases = {
+        "mixed-bob-dims": ("one-way", {
+            "alice": serialize.encode_instrument(inst),
+            "bob_maps": [serialize.encode_cp_map(random_cptp(d, d, 1, d)) for d in (2, 3)],
+        }),
+        "no-alice-outcome": ("one-way", {
+            "alice": serialize.encode_instrument(Instrument(1, 0, 2, 2, {})), "bob_maps": [],
+        }),
+        "loop-alphabets": ("loop", {
+            "alice": serialize.encode_instrument(loop_a),
+            "bob": serialize.encode_instrument(random_instrument(3, 2, 2, 2, 1, 3)),
+        }),
+        "loop-nan": ("loop", {
+            "alice": _nan_kraus(loop_a), "bob": serialize.encode_instrument(loop_b),
+        }),
+    }
+    for name, (mode, obj) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(["compose", mode, str(path)], capsys)
+        assert (code, out) == (2, ""), name
+    with open(os.path.join(FIXTURES, "reconstruct_noisy.json")) as fh:
+        fixture = json.load(fh)
+    fixture["alice_rounds"][0] = _nan_kraus(serialize.decode_instrument(fixture["alice_rounds"][0]))
+    path = tmp_path / "nan-fixture.json"
+    path.write_text(json.dumps(fixture))
+    assert run(["reconstruct-locc", str(path)], capsys) == (2, "")
+    # a file that holds JSON, but not an object
+    path.write_text("[1.0]")
+    for argv in (["compose", "loop"], ["compose", "one-way"], ["reconstruct-locc"],
+                 ["probe-procmat"]):
+        assert run(argv + [str(path)], capsys) == (2, ""), argv
 
 
 def test_tol_env_fallback(tmp_path, capsys, monkeypatch):

@@ -35,6 +35,7 @@ from causal_channels.composition import (
     trace_and_replace_mixed,
 )
 from causal_channels.procmat import random_process_mixture
+from causal_channels.sep import SepMap, sep_to_locc_star
 
 
 def _inst(n_in, n_out, d_in, d_out, rng):
@@ -336,5 +337,37 @@ try:
         p = LoccProtocol(tuple(steps), D, D)
         want = oracle.protocol_choi([(q, _oracle_inst(x)) for q, x in steps], D, D)
         assert _oracle_gap(compose_locc_protocol(p), want) < ORACLE_TOL
+
+    dims = st.integers(1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), dims, dims, dims, dims, st.booleans(), seeds)
+    def test_separable_compilation_matches_the_link_product(k, da, da_out, db, db_out, flip, seed):
+        # sum_k A_k (x) B_k is TP when {A_k} is an instrument and every B_k is
+        # TP (or the other way round); rescaling each pair by c_k, 1/c_k makes
+        # the factors unbalanced without changing the map.
+        rng = np.random.default_rng(seed)
+        if flip:
+            bob = random_instrument(1, k, db, db_out, db, rng)
+            pairs = [(random_cptp(da, da_out, da, rng), bob.element(0, j)) for j in range(k)]
+        else:
+            alice = random_instrument(1, k, da, da_out, da, rng)
+            pairs = [(alice.element(0, j), random_cptp(db, db_out, db, rng)) for j in range(k)]
+        scales = rng.uniform(0.2, 5.0, size=k)
+        terms = tuple((ea.scaled(c), eb.scaled(1.0 / c)) for (ea, eb), c in zip(pairs, scales))
+        alice, bob = sep_to_locc_star(SepMap(terms))
+        assert validate_instrument(alice) and validate_instrument(bob)
+        got = oracle.wired_choi(
+            _oracle_inst(alice),
+            _oracle_inst(bob),
+            oracle.loop_table(alice.in_alphabet, bob.in_alphabet, alice.out_alphabet,
+                              bob.out_alphabet),
+        )
+        want = sum(
+            oracle.kraus_choi([np.kron(ka, kb) for ka in ea.kraus for kb in eb.kraus],
+                              da * db, da_out * db_out)
+            for ea, eb in terms
+        )
+        assert np.abs(got - want).max() < ORACLE_TOL
 except ImportError:  # pragma: no cover - hypothesis is an optional test dependency
     pass
