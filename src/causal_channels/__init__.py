@@ -6,26 +6,16 @@ links and classical process matrices), verifying trace preservation and
 causal-order consistency, and rewriting between the equivalent forms.
 """
 
-from .linalg import (
-    DEFAULT_TOL,
-    DimensionError,
-    PositivityError,
-    partial_trace,
-    partial_transpose,
-    tensor_product,
-)
+from .linalg import DEFAULT_TOL, DimensionError, PositivityError
 from .channels import (
     ChoiOperator,
     CpMap,
     Instrument,
     apply_cp_map,
-    apply_via_choi,
     choi_of,
     choi_distance,
     complementary_map,
     identity_map,
-    instrument_from_lists,
-    is_trace_nonincreasing,
     is_trace_preserving,
     kraus_from_choi,
     random_cptp,
@@ -80,7 +70,6 @@ from .procmat import (
     ClassicalProcess,
     ProcessValidityError,
     causal_decompose,
-    classical_process_from_choi,
     classical_process_to_choi,
     compose_via_classical_process,
     extract_one_way_mixture,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import CpMap, Instrument, validate_instrument
-from .composition import CondDist, LoccProtocol, delta_wiring
+from .composition import CondDist, LoccProtocol, check_round_alphabets, delta_wiring
 from .linalg import DimensionError
 
 MARGINAL_TOL = 1e-12
@@ -192,16 +192,11 @@ def respects_causal_order(w: AggregateWiring, order: CausalOrder) -> bool:
     return find_causal_violation(w, order) is None
 
 
-@dataclass(frozen=True)
-class LinearExtensionMap:
-    """Bijection from operation labels to positions 1..2N."""
+def linear_extension(order: CausalOrder) -> tuple:
+    """The operations in one order-respecting sequence.
 
-    positions: dict
-    sequence: tuple
-
-
-def linear_extension(order: CausalOrder) -> LinearExtensionMap:
-    """Kahn's algorithm; ties broken by (party A first, then ascending round)."""
+    Kahn's algorithm; ties broken by (party A first, then ascending round).
+    """
     nodes = order.node_list()
     remaining = set(nodes)
     seq = []
@@ -214,8 +209,7 @@ def linear_extension(order: CausalOrder) -> LinearExtensionMap:
         pick = ready[0]
         seq.append(pick)
         remaining.remove(pick)
-    positions = {n: j + 1 for j, n in enumerate(seq)}
-    return LinearExtensionMap(positions, tuple(seq))
+    return tuple(seq)
 
 
 @dataclass(frozen=True)
@@ -230,13 +224,13 @@ class QChannel:
     table: np.ndarray
 
 
-def build_q_channels(w: AggregateWiring, f: LinearExtensionMap) -> list:
+def build_q_channels(w: AggregateWiring, seq) -> list:
     """Split a causal-order-respecting wiring into per-step classical channels.
 
+    ``seq`` lists the operations in order, as ``linear_extension`` gives them.
     On zero-probability conditioning branches the conditional is uniform over
     I_l; this keeps every step a valid channel without changing the product.
     """
-    seq = list(f.sequence)
     total = len(seq)
     slots = [w.slot(n) for n in seq]
     # reorder axes to linear-extension order: inputs then outputs
@@ -341,7 +335,12 @@ def merge_successive(protocol: LoccProtocol) -> LoccProtocol:
 
 
 def reconstruct_locc(alice_rounds, bob_rounds, w: AggregateWiring, order: CausalOrder) -> LoccProtocol:
-    """Rewrite a causal-order-respecting wired family as standard LOCC."""
+    """Rewrite a causal-order-respecting wired family as standard LOCC.
+
+    Raises ``AlphabetError`` when the rounds do not match the wiring's slots,
+    and ``DimensionError`` when the order has other round counts.
+    """
+    check_round_alphabets(alice_rounds, bob_rounds, w.dist)
     witness = find_causal_violation(w, order)
     if witness is not None:
         k, l, label = witness
@@ -350,8 +349,7 @@ def reconstruct_locc(alice_rounds, bob_rounds, w: AggregateWiring, order: Causal
             f"the output of {label} outside its past",
             witness=witness,
         )
-    f = linear_extension(order)
-    channels = build_q_channels(w, f)
+    channels = build_q_channels(w, linear_extension(order))
     steps = build_primed_operations(alice_rounds, bob_rounds, channels)
     a_dim = alice_rounds[0].in_dim if alice_rounds else 1
     b_dim = bob_rounds[0].in_dim if bob_rounds else 1

@@ -14,7 +14,6 @@ from .linalg import (
     basis_ket,
     identity,
     is_positive_semidefinite,
-    partial_trace,
 )
 
 
@@ -116,14 +115,6 @@ def choi_of(cp: CpMap) -> ChoiOperator:
     return ChoiOperator(cp.in_dim, cp.out_dim, m)
 
 
-def apply_via_choi(choi: ChoiOperator, rho) -> np.ndarray:
-    rho = as_matrix(rho)
-    if rho.shape != (choi.in_dim, choi.in_dim):
-        raise DimensionError(f"state shape {rho.shape} != ({choi.in_dim},{choi.in_dim})")
-    big = choi.matrix @ np.kron(rho.T, identity(choi.out_dim))
-    return partial_trace(big, (choi.in_dim, choi.out_dim), (0,))
-
-
 def kraus_from_choi(choi: ChoiOperator, tol: float = 1e-10) -> CpMap:
     """Kraus decomposition from the eigenvectors of a PSD Choi operator."""
     m = choi.matrix
@@ -144,10 +135,6 @@ def choi_distance(a: CpMap, b: CpMap) -> float:
 
 def is_trace_preserving(cp: CpMap, tol: float = DEFAULT_TOL) -> bool:
     return float(np.linalg.norm(cp.kraus_gram() - identity(cp.in_dim))) <= tol
-
-
-def is_trace_nonincreasing(cp: CpMap, tol: float = DEFAULT_TOL) -> bool:
-    return is_positive_semidefinite(identity(cp.in_dim) - cp.kraus_gram(), tol)
 
 
 def tp_defect(cp: CpMap) -> float:
@@ -192,26 +179,6 @@ class Instrument:
         for (i, o), el in self.elements.items():
             rows.setdefault(i, []).append((o, el))
         return rows
-
-    def summed(self, i: int) -> CpMap:
-        """The deterministic map obtained by discarding the classical output."""
-        kraus = tuple(k for o in range(self.out_alphabet) for k in self.element(i, o).kraus)
-        return CpMap(self.in_dim, self.out_dim, kraus)
-
-
-def instrument_from_lists(rows, in_dim=None, out_dim=None) -> Instrument:
-    """Build an instrument from a list (over inputs) of lists (over outputs)."""
-    elements = {}
-    for i, row in enumerate(rows):
-        for o, cp in enumerate(row):
-            if cp is not None:
-                elements[(i, o)] = cp
-                in_dim = cp.in_dim if in_dim is None else in_dim
-                out_dim = cp.out_dim if out_dim is None else out_dim
-    if in_dim is None or out_dim is None:
-        raise DimensionError("cannot infer quantum dims from an all-zero instrument")
-    out_alphabet = max(len(r) for r in rows) if rows else 0
-    return Instrument(len(rows), out_alphabet, in_dim, out_dim, elements)
 
 
 def validate_instrument(inst: Instrument, tol: float = DEFAULT_TOL) -> bool:

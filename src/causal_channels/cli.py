@@ -196,7 +196,8 @@ def _cmd_discriminate_nine(args):
 def _cmd_check_causal(args):
     wiring = _load(args.wiring, "aggregate_wiring")
     order = _load(args.order, "causal_order")
-    witness = find_causal_violation(wiring, order)
+    with _input_errors(args.order, (DimensionError,)):
+        witness = find_causal_violation(wiring, order)
     if witness is None:
         return {"pass": True}
     k, l, label = witness
@@ -221,7 +222,7 @@ def _cmd_reconstruct_locc(args):
         protocol = reconstruct_locc(alice_rounds, bob_rounds, wiring, order)
     except CausalOrderError as exc:
         return {"pass": False, "error": str(exc)}
-    except ReconstructionSizeError as exc:
+    except (AlphabetError, DimensionError, ReconstructionSizeError) as exc:
         raise InputError(str(exc)) from exc
     direct = compose_wired(alice_rounds, bob_rounds, wiring.dist)
     dist = float(

@@ -1,8 +1,11 @@
 """Joint bipartite operations built from local instruments and classical wirings.
 
 Covers one-way LOCC, finite-round LOCC protocols, the general
-conditional-distribution wiring (the LOCC* form), the loop form, and the
-rescaling decomposition for unnormalized separable-form CP maps.
+conditional-distribution wiring (the LOCC* form) and the loop form.  It also
+holds the one separable -> loop path: ``normalize_terms`` balances each factor
+pair to trace-nonincreasing factors and ``sep_table_instruments`` turns the
+balanced terms into a loop instrument pair.  ``sep.sep_to_locc_star`` and
+``slocc_star_decompose`` both use it.
 """
 
 from __future__ import annotations
@@ -56,9 +59,6 @@ class CondDist:
         object.__setattr__(self, "input_alphabets", ins)
         object.__setattr__(self, "output_alphabets", outs)
         object.__setattr__(self, "table", t)
-
-    def prob(self, inputs, outputs) -> float:
-        return float(self.table[tuple(inputs) + tuple(outputs)])
 
 
 def delta_wiring(input_alphabets, output_alphabets, link) -> CondDist:
@@ -309,6 +309,22 @@ def compose_locc_protocol(p: LoccProtocol) -> CpMap:
     return CpMap(in_dim, a_out * b_out, tuple(kraus))
 
 
+def check_round_alphabets(alice_rounds, bob_rounds, wiring: CondDist) -> None:
+    """Raise ``AlphabetError`` unless the wiring's slots match the rounds' alphabets.
+
+    The wiring needs one input and one output slot per round, Alice's rounds
+    first, then Bob's.
+    """
+    rounds = list(alice_rounds) + list(bob_rounds)
+    want_in = tuple(r.in_alphabet for r in rounds)
+    want_out = tuple(r.out_alphabet for r in rounds)
+    if wiring.input_alphabets != want_in or wiring.output_alphabets != want_out:
+        raise AlphabetError(
+            f"wiring alphabets {wiring.input_alphabets}|{wiring.output_alphabets} do not "
+            f"match round alphabets {want_in}|{want_out}"
+        )
+
+
 def compose_wired(alice_rounds, bob_rounds, wiring: CondDist) -> CpMap:
     """Contraction of per-round instruments against an aggregate wiring.
 
@@ -320,15 +336,7 @@ def compose_wired(alice_rounds, bob_rounds, wiring: CondDist) -> CpMap:
     """
     alice_rounds = list(alice_rounds)
     bob_rounds = list(bob_rounds)
-    want_in = tuple(r.in_alphabet for r in alice_rounds) + tuple(r.in_alphabet for r in bob_rounds)
-    want_out = tuple(r.out_alphabet for r in alice_rounds) + tuple(
-        r.out_alphabet for r in bob_rounds
-    )
-    if wiring.input_alphabets != want_in or wiring.output_alphabets != want_out:
-        raise AlphabetError(
-            f"wiring alphabets {wiring.input_alphabets}|{wiring.output_alphabets} do not "
-            f"match round alphabets {want_in}|{want_out}"
-        )
+    check_round_alphabets(alice_rounds, bob_rounds, wiring)
     trivial = Instrument(1, 1, 1, 1, {(0, 0): identity_map(1)})
     alice = collapse_sequence(alice_rounds) if alice_rounds else trivial
     bob = collapse_sequence(bob_rounds) if bob_rounds else trivial
@@ -391,36 +399,38 @@ def sep_table_instruments(terms, tol: float = DEFAULT_TOL) -> tuple[Instrument, 
     return alice, bob
 
 
-def slocc_star_decompose(sep_terms, tol: float = DEFAULT_TOL):
-    """Rescale unnormalized separable-form CP terms into a loop-form spec.
+def normalize_terms(terms) -> list:
+    """Rescale factor pairs so both sides are trace-nonincreasing.
 
-    Returns ``(scale, spec)`` where ``scale`` is the smallest integer M making
-    every (1/M)-scaled first factor trace-nonincreasing, and ``spec`` is a
-    loop-wired JointMapSpec whose composition equals sum_k eA_k (x) eB_k.
+    Each pair is first balanced by the Alice gram norm c = max(1, ||A_k||); if
+    the compensated Bob factor still exceeds trace preservation it is split
+    into equal integer shares, preserving the term's product map.
     """
-    terms = [(ea, eb) for ea, eb in sep_terms]
+    out = []
+    for ea, eb in terms:
+        c = max(1.0, operator_norm_of_gram(ea))
+        ea_s = ea.scaled(1.0 / c)
+        eb_s = eb.scaled(c)
+        norm_b = operator_norm_of_gram(eb_s)
+        shares = max(1, math.ceil(norm_b - 1e-12))
+        eb_s = eb_s.scaled(1.0 / shares)
+        for _ in range(shares):
+            out.append((ea_s, eb_s))
+    return out
+
+
+def slocc_star_decompose(sep_terms, tol: float = DEFAULT_TOL):
+    """Rescale unnormalized separable-form CP terms into a loop instrument pair.
+
+    Returns ``(scale, alice, bob)`` where ``scale`` is the smallest integer M
+    with every first-factor gram norm at most M, and ``compose_loop(alice,
+    bob)`` equals sum_k eA_k (x) eB_k.
+    """
+    terms = list(sep_terms)
     if not terms:
         raise ValueError("need at least one term")
-    norms_a = [operator_norm_of_gram(ea) for ea, _ in terms]
-    scale = max(1, math.ceil(max(norms_a) - 1e-12))
-    normalized = []
-    for (ea, eb), _ in zip(terms, norms_a):
-        ea_s = ea.scaled(1.0 / scale)
-        norm_b = operator_norm_of_gram(eb)
-        split_b = max(1, math.ceil(norm_b - 1e-12))
-        eb_s = eb.scaled(1.0 / split_b)
-        for _ in range(scale):
-            for _ in range(split_b):
-                normalized.append((ea_s, eb_s))
-    alice, bob = sep_table_instruments(normalized, tol)
-    spec = JointMapSpec(alice, bob, loop_wiring(alice.out_alphabet, bob.out_alphabet))
-    return scale, spec
-
-
-def mix_wirings(q: float, p1: CondDist, p2: CondDist) -> CondDist:
-    if p1.input_alphabets != p2.input_alphabets or p1.output_alphabets != p2.output_alphabets:
-        raise AlphabetError("cannot mix wirings over different alphabets")
-    return CondDist(p1.input_alphabets, p1.output_alphabets, q * p1.table + (1 - q) * p2.table)
+    scale = max(1, math.ceil(max(operator_norm_of_gram(ea) for ea, _ in terms) - 1e-12))
+    return (scale, *sep_table_instruments(normalize_terms(terms), tol))
 
 
 __all__ = [
@@ -428,6 +438,7 @@ __all__ = [
     "CondDist",
     "JointMapSpec",
     "LoccProtocol",
+    "check_round_alphabets",
     "collapse_sequence",
     "compose_ccstar",
     "compose_locc_protocol",
@@ -437,7 +448,7 @@ __all__ = [
     "delta_wiring",
     "is_locc_star_member",
     "loop_wiring",
-    "mix_wirings",
+    "normalize_terms",
     "operator_norm_of_gram",
     "sep_table_instruments",
     "slocc_star_decompose",

@@ -255,18 +255,6 @@ def classical_process_to_choi(w: ClassicalProcess) -> np.ndarray:
     return np.diag(diag).astype(np.complex128)
 
 
-def classical_process_from_choi(matrix, n_ia, n_oa, n_ib, n_ob) -> ClassicalProcess:
-    m = as_matrix(matrix)
-    n = n_ia * n_oa * n_ib * n_ob
-    if m.shape != (n, n):
-        raise DimensionError(f"operator shape {m.shape} != ({n},{n})")
-    off = m - np.diag(np.diag(m))
-    if float(np.linalg.norm(off)) > 1e-9 * max(1, n):
-        raise ProcessValidityError("operator is not diagonal; not a classical process")
-    diag = np.real(np.diag(m)).reshape(n_ia, n_oa, n_ib, n_ob)
-    return ClassicalProcess(n_ia, n_ib, n_oa, n_ob, np.transpose(diag, (0, 2, 1, 3)))
-
-
 def _deterministic_probe(in_dim, out_dim, f) -> np.ndarray:
     """Choi of the channel measuring the input basis and preparing |f(i)>."""
     n = in_dim * out_dim

@@ -163,7 +163,7 @@ def criterion_sep_compile(seed: int = 2, tol: float = 1e-8) -> dict:
 
 
 def criterion_rescaling(seed: int = 3, tol: float = 1e-8) -> dict:
-    """Unnormalized separable-form CP maps rescale into loop-wired specs."""
+    """Unnormalized separable-form CP maps rescale into loop instrument pairs."""
     start = time.monotonic()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -185,13 +185,13 @@ def criterion_rescaling(seed: int = 3, tol: float = 1e-8) -> dict:
                 max(float(np.max(np.linalg.eigvalsh(ea.kraus_gram()))) for ea, _ in terms) - 1e-12
             ),
         )
-        scale, spec = slocc_star_decompose(terms)
+        scale, alice, bob = slocc_star_decompose(terms)
         scales_ok = scales_ok and scale == oracle
         target = None
         for ea, eb in terms:
             t = tensor_map(ea, eb)
             target = t if target is None else target + t
-        worst = max(worst, choi_distance(compose_ccstar(spec), target))
+        worst = max(worst, choi_distance(compose_loop(alice, bob), target))
     checks = [
         _check("max-recombination-choi-distance", worst, tol),
         _flag("scale-matches-gram-norm-ceiling", scales_ok),

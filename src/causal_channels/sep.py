@@ -1,8 +1,12 @@
-"""Separable operations, the loop-form compiler, and the nine-state example."""
+"""Separable operations, the loop-form compiler, and the nine-state example.
+
+``sep_to_locc_star`` checks that a separable map is trace preserving and then
+compiles it through the one separable -> loop path of ``composition``
+(``normalize_terms``, then ``sep_table_instruments``).
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,11 +17,7 @@ from .channels import (
     apply_cp_map,
     is_trace_preserving,
 )
-from .composition import (
-    compose_loop,
-    operator_norm_of_gram,
-    sep_table_instruments,
-)
+from .composition import compose_loop, normalize_terms, sep_table_instruments
 from .linalg import DEFAULT_TOL, DimensionError, basis_ket, ket_bra
 
 
@@ -56,31 +56,11 @@ def validate_sep(m: SepMap, tol: float = DEFAULT_TOL) -> bool:
     return is_trace_preserving(m.joint_map(), tol)
 
 
-def _normalize_terms(m: SepMap, tol: float):
-    """Rescale factor pairs so both sides are trace-nonincreasing.
-
-    Each pair is first balanced by the Alice gram norm; if the compensated Bob
-    factor still exceeds trace preservation it is split into equal integer
-    shares, preserving the term's product map.
-    """
-    out = []
-    for ea, eb in m.terms:
-        c = max(1.0, operator_norm_of_gram(ea))
-        ea_s = ea.scaled(1.0 / c)
-        eb_s = eb.scaled(c)
-        norm_b = operator_norm_of_gram(eb_s)
-        shares = max(1, math.ceil(norm_b - 1e-12))
-        eb_s = eb_s.scaled(1.0 / shares)
-        for _ in range(shares):
-            out.append((ea_s, eb_s))
-    return out
-
-
 def sep_to_locc_star(m: SepMap, tol: float = DEFAULT_TOL) -> tuple[Instrument, Instrument]:
     """Compile a separable TP map into a loop-form instrument pair."""
     if not validate_sep(m, max(tol, 1e-7)):
         raise MembershipError("the summed joint map is not trace preserving")
-    return sep_table_instruments(_normalize_terms(m, tol), tol)
+    return sep_table_instruments(normalize_terms(m.terms), tol)
 
 
 def locc_star_to_sep(alice: Instrument, bob: Instrument, tol: float = DEFAULT_TOL) -> SepMap:

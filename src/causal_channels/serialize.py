@@ -396,13 +396,6 @@ def dumps(value) -> str:
     return "".join(fmt) % tuple(floats)
 
 
-def save(path, value, schema: str) -> None:
-    encode, _ = SCHEMAS[schema]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(encode(value)))
-        fh.write("\n")
-
-
 def load(path, schema: str):
     _, decode = SCHEMAS[schema]
     try:

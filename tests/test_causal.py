@@ -72,10 +72,9 @@ def test_one_way_copy_wiring_respects_only_matching_orders():
 
 def test_linear_extension_orders_and_tie_breaks():
     order = CausalOrder(1, 1, frozenset({(OpLabel("B", 1), OpLabel("A", 1))}))
-    ext = linear_extension(order)
-    assert ext.sequence == (OpLabel("B", 1), OpLabel("A", 1))
+    assert linear_extension(order) == (OpLabel("B", 1), OpLabel("A", 1))
     unordered = CausalOrder(1, 1)
-    assert linear_extension(unordered).sequence == (OpLabel("A", 1), OpLabel("B", 1))
+    assert linear_extension(unordered) == (OpLabel("A", 1), OpLabel("B", 1))
 
 
 def test_q_channels_multiply_back_to_the_wiring():

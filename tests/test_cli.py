@@ -12,6 +12,11 @@ from causal_channels.procmat import ClassicalProcess, random_process_mixture
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
+def _save(path, value, schema):
+    encode, _ = serialize.SCHEMAS[schema]
+    path.write_text(serialize.dumps(encode(value)) + "\n")
+
+
 def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -35,7 +40,7 @@ def test_discriminate_nine_reads_the_tolerance_variable(capsys, monkeypatch):
 def test_verify_instrument(tmp_path, capsys):
     inst = random_instrument(2, 2, 2, 2, 1, 0)
     path = tmp_path / "inst.json"
-    serialize.save(path, inst, "instrument")
+    _save(path, inst, "instrument")
     code, out = run(["verify-instrument", str(path)], capsys)
     assert code == 0 and json.loads(out)["pass"]
 
@@ -66,7 +71,7 @@ def test_check_procmat_exit_codes(capsys):
 def test_decompose_procmat(tmp_path, capsys):
     w = random_process_mixture(2, 2, 2, 2, 3)
     path = tmp_path / "w.json"
-    serialize.save(path, w, "classical_process")
+    _save(path, w, "classical_process")
     code, out = run(["decompose-procmat", str(path)], capsys)
     assert code == 0
     report = json.loads(out)
@@ -122,7 +127,7 @@ def test_probe_procmat(tmp_path, capsys):
     assert code == 1
     # more input symbols than two Kraus operators can map onto the outputs
     path = tmp_path / "w.json"
-    serialize.save(path, random_process_mixture(8, 8, 2, 2, 5), "classical_process")
+    _save(path, random_process_mixture(8, 8, 2, 2, 5), "classical_process")
     code, out = run(["probe-procmat", str(path)], capsys)
     assert code == 0 and json.loads(out)["pass"]
 
@@ -185,6 +190,29 @@ def test_input_errors_exit_2(tmp_path, capsys):
     path = tmp_path / "nan-fixture.json"
     path.write_text(json.dumps(fixture))
     assert run(["reconstruct-locc", str(path)], capsys) == (2, "")
+    # rounds or an order that do not match the wiring
+    extra_node = {
+        "nodes": [{"party": "A", "round": 1}, {"party": "B", "round": 1},
+                  {"party": "B", "round": 2}],
+        "edges": [[0, 1]],
+    }
+    with open(os.path.join(FIXTURES, "reconstruct_noisy.json")) as fh:
+        fixture = json.load(fh)
+    mismatches = {
+        "no-bob-round": {"bob_rounds": []},
+        "order-extra-node": {"order": extra_node},
+        "bob-alphabet-3": {
+            "bob_rounds": [serialize.encode_instrument(random_instrument(2, 3, 2, 2, 1, 4))]
+        },
+    }
+    for name, change in mismatches.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**fixture, **change}))
+        assert run(["reconstruct-locc", str(path)], capsys) == (2, ""), name
+    order = tmp_path / "order-extra-node.json"
+    order.write_text(json.dumps(extra_node))
+    wiring = os.path.join(FIXTURES, "noisy_wiring.json")
+    assert run(["check-causal", wiring, str(order)], capsys) == (2, "")
     # a file that holds JSON, but not an object
     path.write_text("[1.0]")
     for argv in (["compose", "loop"], ["compose", "one-way"], ["reconstruct-locc"],
@@ -195,7 +223,7 @@ def test_input_errors_exit_2(tmp_path, capsys):
 def test_tol_env_fallback(tmp_path, capsys, monkeypatch):
     inst = random_instrument(1, 1, 2, 2, 2, 1)
     path = tmp_path / "inst.json"
-    serialize.save(path, inst, "instrument")
+    _save(path, inst, "instrument")
     monkeypatch.setenv("CAUSAL_CHANNELS_TOL", "1e-6")
     code, out = run(["verify-instrument", str(path)], capsys)
     assert code == 0
@@ -210,7 +238,7 @@ def test_procmat_commands_share_the_tolerance(tmp_path, capsys, monkeypatch):
     col[src] -= 1e-6
     col[tuple(1 - i for i in src)] += 1e-6  # some strategy masses now miss 1 by 1e-6
     path = tmp_path / "w.json"
-    serialize.save(path, ClassicalProcess(2, 2, 2, 2, t), "classical_process")
+    _save(path, ClassicalProcess(2, 2, 2, 2, t), "classical_process")
     for command in ("check-procmat", "decompose-procmat", "probe-procmat"):
         assert run([command, str(path)], capsys)[0] == 1
         assert run([command, str(path), "--tol", "1e-5"], capsys)[0] == 0
@@ -222,7 +250,7 @@ def test_procmat_commands_share_the_tolerance(tmp_path, capsys, monkeypatch):
 def test_reports_are_deterministic(tmp_path, capsys):
     w = random_process_mixture(2, 2, 2, 2, 11)
     path = tmp_path / "w.json"
-    serialize.save(path, w, "classical_process")
+    _save(path, w, "classical_process")
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     assert main(["decompose-procmat", str(path), "--out", str(out1)]) == 0

@@ -28,7 +28,6 @@ from causal_channels.composition import (
     delta_wiring,
     is_locc_star_member,
     loop_wiring,
-    mix_wirings,
     sep_table_instruments,
     slocc_star_decompose,
     to_loop_form,
@@ -46,7 +45,7 @@ def _inst(n_in, n_out, d_in, d_out, rng):
 def test_cond_dist_normalization():
     t = np.array([[0.3, 0.5], [0.7, 0.5]])  # inputs axis 0, outputs axis 1
     d = CondDist((2,), (2,), t)
-    assert np.isclose(d.prob((0,), (1,)), 0.5)
+    assert np.isclose(d.table[0, 1], 0.5)
     with pytest.raises(ValueError):
         CondDist((2,), (2,), np.array([[0.3, 0.5], [0.3, 0.5]]))
     with pytest.raises(ValueError):
@@ -61,7 +60,7 @@ def test_delta_and_loop_wiring_tables():
     assert loop.input_alphabets == (3, 2) and loop.output_alphabets == (2, 3)
     for o_a in range(2):
         for o_b in range(3):
-            assert loop.prob((o_b, o_a), (o_a, o_b)) == 1.0
+            assert loop.table[o_b, o_a, o_a, o_b] == 1.0
 
 
 def test_one_way_composition_is_tp():
@@ -78,7 +77,7 @@ def test_one_way_equals_ccstar_with_delta_wiring():
     rng = np.random.default_rng(1)
     alice = _inst(1, 2, 2, 2, rng)
     bob = _inst(2, 1, 2, 2, rng)
-    bob_maps = [bob.summed(i) for i in range(2)]
+    bob_maps = [bob.element(i, 0) for i in range(2)]  # Bob has one outcome
     # wiring: i_A pinned to 0, i_B copies o_A
     dist = delta_wiring((1, 2), (2, 1), (("const", 0), 0))
     spec = JointMapSpec(alice, bob, dist)
@@ -171,9 +170,10 @@ def test_slocc_star_decompose_scale_and_recombination():
     rng = np.random.default_rng(9)
     ea = random_cptp(2, 2, 1, rng).scaled(2.5)
     eb = random_cptp(2, 2, 1, rng).scaled(1.5)
-    scale, spec = slocc_star_decompose([(ea, eb)])
+    scale, alice, bob = slocc_star_decompose([(ea, eb)])
     assert scale == 3
-    assert choi_distance(compose_ccstar(spec), tensor_map(ea, eb)) < 1e-10
+    assert validate_instrument(alice) and validate_instrument(bob)
+    assert choi_distance(compose_loop(alice, bob), tensor_map(ea, eb)) < 1e-10
 
 
 def _peak_mb(fn):
@@ -199,6 +199,21 @@ def test_loop_composition_of_many_separable_terms_stays_small():
     assert choi_distance(joint, target) < 1e-10
 
 
+def test_rescaling_many_separable_terms_stays_small():
+    # The rescaled terms go straight into a loop pair; a spec over a dense loop
+    # wiring would hold (K+2)^4 floats for K rescaled terms, K >= 60 here.
+    rng = np.random.default_rng(12)
+    terms = [
+        (random_cptp(2, 2, 1, rng).scaled(s_a), random_cptp(2, 2, 1, rng).scaled(s_b))
+        for s_a, s_b in rng.uniform(0.2, 3.0, size=(60, 2))
+    ]
+    (scale, alice, bob), peak = _peak_mb(lambda: slocc_star_decompose(terms))
+    assert peak < 8.0
+    assert scale == 3
+    target = CpMap(4, 4, tuple(k for ea, eb in terms for k in tensor_map(ea, eb).kraus))
+    assert choi_distance(compose_loop(alice, bob), target) < 1e-10
+
+
 def test_one_way_composition_of_a_wide_alphabet_stays_small():
     # A dense copy table would hold n^2 floats (8 MB) and pair n^2 elements.
     rng = np.random.default_rng(11)
@@ -208,14 +223,6 @@ def test_one_way_composition_of_a_wide_alphabet_stays_small():
     joint, peak = _peak_mb(lambda: compose_one_way(alice, bob_maps))
     assert peak < 4.0
     assert len(joint.kraus) == n and is_trace_preserving(joint)
-
-
-def test_mix_wirings_is_convex():
-    d1 = delta_wiring((2,), (2,), (0,))
-    t = np.full((2, 2), 0.5)
-    d2 = CondDist((2,), (2,), t)
-    mixed = mix_wirings(0.25, d1, d2)
-    assert np.allclose(mixed.table, 0.25 * d1.table + 0.75 * t)
 
 
 # Differential tests against the plain-numpy link products of the benchmark

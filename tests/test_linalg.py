@@ -4,60 +4,18 @@ import pytest
 from causal_channels.linalg import (
     DimensionError,
     PositivityError,
+    as_matrix,
     basis_ket,
-    dagger,
-    distance,
     identity,
     is_hermitian,
     is_positive_semidefinite,
     ket_bra,
-    partial_trace,
-    partial_transpose,
-    psd_sqrt,
-    tensor_all,
-    tensor_product,
 )
 
 
 def random_hermitian(n, rng):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (m + m.conj().T) / 2
-
-
-def test_tensor_product_matches_kron():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3))
-    assert np.allclose(tensor_product(a, b), np.kron(a, b))
-    assert np.allclose(tensor_all([a, b, a]), np.kron(np.kron(a, b), a))
-
-
-def test_partial_trace_of_product_factorizes():
-    rng = np.random.default_rng(1)
-    a = random_hermitian(2, rng)
-    b = random_hermitian(3, rng)
-    m = np.kron(a, b)
-    assert np.allclose(partial_trace(m, (2, 3), (1,)), a * np.trace(b))
-    assert np.allclose(partial_trace(m, (2, 3), (0,)), b * np.trace(a))
-    assert np.isclose(partial_trace(m, (2, 3), (0, 1)), np.trace(a) * np.trace(b))
-
-
-def test_partial_trace_three_subsystems():
-    rng = np.random.default_rng(2)
-    mats = [random_hermitian(d, rng) for d in (2, 3, 2)]
-    m = np.kron(np.kron(mats[0], mats[1]), mats[2])
-    got = partial_trace(m, (2, 3, 2), (0, 2))
-    assert np.allclose(got, mats[1] * np.trace(mats[0]) * np.trace(mats[2]))
-
-
-def test_partial_transpose_is_involutive_and_local():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    m = np.kron(a, b)
-    assert np.allclose(partial_transpose(m, (2, 3), (1,)), np.kron(a, b.T))
-    twice = partial_transpose(partial_transpose(m, (2, 3), (0,)), (2, 3), (0,))
-    assert np.allclose(twice, m)
 
 
 def test_psd_checks():
@@ -70,60 +28,18 @@ def test_psd_checks():
         is_positive_semidefinite(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(5)
-    h = random_hermitian(3, rng)
-    psd = h @ h.conj().T
-    r = psd_sqrt(psd)
-    assert distance(r @ r, psd) < 1e-10
-    with pytest.raises(PositivityError):
-        psd_sqrt(-identity(2))
-
-
 def test_basis_and_ket_bra():
     k = basis_ket(3, 1)
     assert k.shape == (3, 1) and k[1, 0] == 1
     proj = ket_bra(k, k)
     assert np.allclose(proj, np.diag([0, 1, 0]))
-    assert np.allclose(dagger(proj), proj)
+    assert np.allclose(proj.conj().T, proj)
 
 
 def test_shape_errors():
     with pytest.raises(DimensionError):
-        partial_trace(np.eye(4), (2, 3), (0,))
-    with pytest.raises(DimensionError):
-        distance(np.eye(2), np.eye(3))
+        as_matrix(np.zeros(4))
+    with pytest.raises(ValueError):
+        as_matrix([[np.nan, 0.0], [0.0, 1.0]])
     assert is_hermitian(np.eye(2))
     assert not is_hermitian(np.array([[0, 1], [2, 0]]))
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_tensor_trace_factorizes(seed):
-    rng = np.random.default_rng(seed)
-    a = random_hermitian(2, rng)
-    b = random_hermitian(3, rng)
-    assert np.isclose(np.trace(tensor_product(a, b)), np.trace(a) * np.trace(b))
-
-
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**31 - 1))
-    def test_partial_trace_preserves_trace(da, db, seed):
-        rng = np.random.default_rng(seed)
-        m = random_hermitian(da * db, rng)
-        assert np.isclose(np.trace(partial_trace(m, (da, db), (1,))), np.trace(m))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**31 - 1))
-    def test_partial_transpose_preserves_spectrum_of_products(da, db, seed):
-        rng = np.random.default_rng(seed)
-        a = random_hermitian(da, rng)
-        b = random_hermitian(db, rng)
-        m = tensor_product(a, b)
-        pt = partial_transpose(m, (da, db), (1,))
-        assert np.allclose(np.sort(np.linalg.eigvalsh(pt)), np.sort(np.linalg.eigvalsh(m)))
-except ImportError:  # pragma: no cover - hypothesis is an optional test dependency
-    pass

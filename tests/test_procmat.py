@@ -1,3 +1,5 @@
+import os
+import sys
 from itertools import product
 
 import numpy as np
@@ -10,13 +12,13 @@ from causal_channels.channels import (
     random_cptp,
     random_instrument,
     tensor_map,
+    validate_instrument,
 )
 from causal_channels.composition import JointMapSpec, compose_locc_protocol, is_locc_star_member
 from causal_channels.procmat import (
     ClassicalProcess,
     ProcessValidityError,
     causal_decompose,
-    classical_process_from_choi,
     classical_process_to_choi,
     compose_via_classical_process,
     extract_one_way_mixture,
@@ -156,10 +158,10 @@ def test_diagonal_embedding_roundtrip():
     rng = np.random.default_rng(7)
     w = random_process_mixture(2, 2, 2, 2, rng)
     m = classical_process_to_choi(w)
-    back = classical_process_from_choi(m, 2, 2, 2, 2)
-    assert np.allclose(back.table, w.table, atol=1e-12)
-    with pytest.raises(ProcessValidityError):
-        classical_process_from_choi(np.ones((16, 16)) / 4.0, 2, 2, 2, 2)
+    # diagonal on (I_A, O_A, I_B, O_B) computational bases
+    assert np.array_equal(m, np.diag(np.diag(m)))
+    back = np.real(np.diag(m)).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    assert np.allclose(back, w.table, atol=1e-12)
 
 
 def test_probe_valid_process_passes():
@@ -254,6 +256,9 @@ def _perturbed(table, eps, rng):
     return t
 
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+import oracle  # noqa: E402
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -301,5 +306,47 @@ try:
         assert np.allclose(lead_a, lead_a[:, :1], atol=1e-12, rtol=0)
         assert np.allclose(lead_b, lead_b[:, :1], atol=1e-12, rtol=0)
         assert recombination_error(dec, w) <= 1e-12
+
+    def _one_way_table(n_lead, n_follow, n_out_lead, rng):
+        """p(i_lead) p(i_follow | i_lead, o_lead) as axes (i_lead, i_follow, o_lead).
+
+        Some leader symbols have probability zero, so the mixture's uniform
+        fallback conditionals are exercised.
+        """
+        p_lead = rng.dirichlet(np.ones(n_lead)) * (rng.random(n_lead) < 0.6)
+        p_lead[rng.integers(n_lead)] += 0.2
+        p_lead /= p_lead.sum()
+        cond = rng.dirichlet(np.ones(n_follow), size=(n_lead, n_out_lead))  # (i_l, o_l, i_f)
+        return p_lead[:, None, None] * cond.transpose(0, 2, 1)
+
+    def _oracle_inst(inst):
+        return {"n_in": inst.in_alphabet, "n_out": inst.out_alphabet, "din": inst.in_dim,
+                "dout": inst.out_dim,
+                "elems": {key: list(el.kraus) for key, el in inst.elements.items()}}
+
+    @settings(max_examples=40, deadline=None)
+    @given(alphabets, st.sampled_from([0.0, 1.0, None]), st.integers(0, 2**31 - 1))
+    def test_one_way_mixture_matches_the_link_product(sizes, q, seed):
+        # Differential test against the plain-numpy link products of the
+        # benchmark oracle, which shares no code with the library.
+        rng = np.random.default_rng(seed)
+        n_ia, n_ib, n_oa, n_ob = sizes
+        q = float(rng.uniform()) if q is None else q
+        t_ab = _one_way_table(n_ia, n_ib, n_oa, rng)[:, :, :, None]
+        t_ba = _one_way_table(n_ib, n_ia, n_ob, rng).transpose(1, 0, 2)[:, :, None, :]
+        w = ClassicalProcess(*sizes, q * t_ab + (1 - q) * t_ba)
+        alice = random_instrument(n_ia, n_oa, 2, 2, 1, rng)
+        bob = random_instrument(n_ib, n_ob, 2, 2, 1, rng)
+        q_dec, proto_ab, proto_ba = extract_one_way_mixture(causal_decompose(w), alice, bob)
+        got = sum(
+            weight * oracle.protocol_choi(
+                [(party, _oracle_inst(inst)) for party, inst in proto.rounds], 2, 2
+            )
+            for weight, proto in ((q_dec, proto_ab), (1 - q_dec, proto_ba))
+        )
+        want = oracle.wired_choi(_oracle_inst(alice), _oracle_inst(bob), w.table)
+        assert np.abs(got - want).max() < 1e-10
+        # the uniform fallbacks keep every round an instrument
+        assert all(validate_instrument(inst) for p in (proto_ab, proto_ba) for _, inst in p.rounds)
 except ImportError:  # pragma: no cover - hypothesis is an optional test dependency
     pass
