@@ -97,9 +97,7 @@ class CausalOrder:
 
 def all_orders(n_a: int, n_b: int):
     """Every strict partial order on the operations (exhaustive; small N only)."""
-    nodes = [OpLabel("A", k) for k in range(1, n_a + 1)] + [
-        OpLabel("B", k) for k in range(1, n_b + 1)
-    ]
+    nodes = CausalOrder(n_a, n_b).node_list()
     cross = [(x, y) for x in nodes for y in nodes if x != y and x.party != y.party]
     seen = set()
     for mask in range(1 << len(cross)):

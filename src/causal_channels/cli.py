@@ -10,15 +10,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import serialize
 from .causal import CausalOrderError, ReconstructionSizeError, find_causal_violation
 from .causal import reconstruct_locc
-from .channels import choi_of, tp_defect, validate_instrument
+from .channels import choi_distance, choi_of, tp_defect, validate_instrument
 from .composition import (
     AlphabetError,
     compose_ccstar,
@@ -27,7 +26,7 @@ from .composition import (
     compose_one_way,
     compose_wired,
 )
-from .linalg import DEFAULT_TOL, DimensionError, PositivityError
+from .linalg import DEFAULT_TOL, DimensionError
 from .procmat import (
     ProcessValidityError,
     causal_decompose,
@@ -46,15 +45,18 @@ class InputError(Exception):
 
 
 def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("CAUSAL_CHANNELS_TOL")
-    if env:
+    tol, source = args.tol, "--tol"
+    if tol is None:
+        env = os.environ.get("CAUSAL_CHANNELS_TOL")
+        if not env:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            tol, source = float(env), "CAUSAL_CHANNELS_TOL"
         except ValueError as exc:
             raise InputError(f"CAUSAL_CHANNELS_TOL is not a number: {env!r}") from exc
-    return DEFAULT_TOL
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"{source} must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 @contextlib.contextmanager
@@ -179,8 +181,7 @@ def _cmd_compile_sep(args):
         alice, bob = sep_to_locc_star(m, tol)
     except MembershipError as exc:
         return {"pass": False, "error": str(exc)}
-    looped = compose_loop(alice, bob)
-    dist = float(np.linalg.norm(choi_of(looped).matrix - choi_of(m.joint_map()).matrix))
+    dist = choi_distance(compose_loop(alice, bob), m.joint_map())
     return {
         "pass": dist <= max(tol, 1e-8),
         "roundtrip_choi_distance": dist,
@@ -225,11 +226,7 @@ def _cmd_reconstruct_locc(args):
     except (AlphabetError, DimensionError, ReconstructionSizeError) as exc:
         raise InputError(str(exc)) from exc
     direct = compose_wired(alice_rounds, bob_rounds, wiring.dist)
-    dist = float(
-        np.linalg.norm(
-            choi_of(compose_locc_protocol(protocol)).matrix - choi_of(direct).matrix
-        )
-    )
+    dist = choi_distance(compose_locc_protocol(protocol), direct)
     return {
         "pass": dist <= tol,
         "choi_distance": dist,
@@ -273,7 +270,7 @@ def _cmd_probe_procmat(args):
         return probe_quantum_process(
             matrix, *dims, probes=args.probes, seed=args.seed, tol=_resolve_tol(args)
         )
-    except (PositivityError, DimensionError) as exc:
+    except ValueError as exc:  # not PSD, wrong shape, or no probe ran
         raise InputError(str(exc)) from exc
 
 

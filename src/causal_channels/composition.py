@@ -136,12 +136,6 @@ class LoccProtocol:
             prev_out = inst.out_alphabet
         object.__setattr__(self, "rounds", rounds)
 
-    def out_dims(self) -> tuple[int, int]:
-        qdim = {"A": self.a_dim, "B": self.b_dim}
-        for party, inst in self.rounds:
-            qdim[party] = inst.out_dim
-        return qdim["A"], qdim["B"]
-
 
 def _link(a: Instrument, b: Instrument, pairs) -> CpMap:
     """The one contraction behind every wired form (the link product).
@@ -286,27 +280,41 @@ def collapse_sequence(seq) -> Instrument:
     return Instrument(n_in, n_out, seq[0].in_dim, seq[-1].out_dim, chains)
 
 
+def _merge_by_symbol(ops, sym, n_symbols: int):
+    """Cap each symbol at d_in * d_out operators without changing its Choi operator."""
+    counts, bound = np.bincount(sym, minlength=n_symbols), math.prod(ops.shape[1:])
+    for s in np.flatnonzero(counts > bound):
+        mine = sym == s
+        # the rows of the QR factor R of the rows W give W^T conj(W) = R^T conj(R)
+        r = np.linalg.qr(ops[mine].reshape(counts[s], bound), mode="r")
+        ops = np.concatenate([ops[~mine], r.reshape((-1,) + ops.shape[1:])])
+        sym = np.concatenate([sym[~mine], np.full(len(r), s)])
+    return ops, sym
+
+
 def compose_locc_protocol(p: LoccProtocol) -> CpMap:
-    """Chain protocol rounds with delta wiring and sum the classical indices."""
-    a_out, b_out = p.out_dims()
-    in_dim = p.a_dim * p.b_dim
-    kraus = []
-    by_input = [inst.by_input() for _, inst in p.rounds]
+    """Chain protocol rounds with delta wiring and sum the classical indices.
 
-    def walk(r, symbol, a_op, b_op):
-        if r == len(p.rounds):
-            kraus.append(np.kron(a_op, b_op))
-            return
-        party = p.rounds[r][0]
-        for o, el in by_input[r].get(symbol, ()):
-            for k in el.kraus:
-                if party == "A":
-                    walk(r + 1, o, k @ a_op, b_op)
-                else:
-                    walk(r + 1, o, a_op, k @ b_op)
-
-    walk(0, 0, identity(p.a_dim), identity(p.b_dim))
-    return CpMap(in_dim, a_out * b_out, tuple(kraus))
+    A dynamic program over the classical symbol (the link product of Chiribella,
+    D'Ariano and Perinotti, PRA 80, 022339, 2009): ``ops`` holds Kraus operators,
+    axes (out_A, out_B, in), of the joint map so far, and ``sym`` the last output
+    symbol of each one's history.  Polynomial in the rounds; at most d_in * d_out
+    Kraus operators in the result.
+    """
+    a, b = p.a_dim, p.b_dim
+    ops, sym = identity(a * b).reshape(1, a, b, a * b), np.zeros(1, dtype=int)
+    for party, inst in p.rounds:
+        terms = [(i, o, k) for (i, o), el in inst.elements.items() for k in el.kraus]
+        ks = np.array([k for _, _, k in terms]).reshape(len(terms), inst.out_dim, inst.in_dim)
+        # apply each term, on the party's output axis, to every operator whose symbol it reads
+        rows, js = np.nonzero(sym[:, None] == np.array([i for i, _, _ in terms], dtype=int))
+        spec = "pxu,pubi->pxbi" if party == "A" else "pxu,paui->paxi"
+        ops = np.einsum(spec, ks[js], ops[rows])
+        sym = np.array([o for _, o, _ in terms], dtype=int)[js]
+        ops, sym = _merge_by_symbol(ops, sym, inst.out_alphabet)
+    ops = _merge_by_symbol(ops, np.zeros(len(ops), dtype=int), 1)[0]
+    d_out = ops.shape[1] * ops.shape[2]
+    return CpMap(a * b, d_out, tuple(ops.reshape(-1, d_out, a * b)))
 
 
 def check_round_alphabets(alice_rounds, bob_rounds, wiring: CondDist) -> None:

@@ -310,6 +310,8 @@ def probe_quantum_process(
                     _deterministic_probe(n_ib, n_ob, g),
                     f"strategy-f{f}-g{g}",
                 )
+    if probes < 0 or not records:
+        raise ValueError(f"need a nonnegative probe count and one probe at least, got {probes}")
     max_dev = max(r["deviation"] for r in records)
     return {
         "pass": max_dev <= max(tol, 1e-8),

@@ -222,14 +222,8 @@ def decode_sep_map(obj, where="sep_map") -> SepMap:
 # ---------------------------------------------------------------------------
 # causal structure
 
-def _order_nodes(order: CausalOrder) -> list:
-    return [OpLabel("A", r) for r in range(1, order.n_a + 1)] + [
-        OpLabel("B", r) for r in range(1, order.n_b + 1)
-    ]
-
-
 def encode_causal_order(order: CausalOrder) -> dict:
-    nodes = _order_nodes(order)
+    nodes = order.node_list()
     index = {lab: j for j, lab in enumerate(nodes)}
     return {
         "nodes": [{"party": lab.party, "round": lab.round} for lab in nodes],

@@ -130,6 +130,12 @@ def test_probe_procmat(tmp_path, capsys):
     _save(path, random_process_mixture(8, 8, 2, 2, 5), "classical_process")
     code, out = run(["probe-procmat", str(path)], capsys)
     assert code == 0 and json.loads(out)["pass"]
+    # without random probes, only the deterministic strategy probes run
+    code, out = run(["probe-procmat", os.path.join(FIXTURES, "one_way_process.json"),
+                     "--probes", "0"], capsys)
+    assert code == 0 and json.loads(out)["probes"]
+    assert main(["probe-procmat", str(path), "--probes", "0"]) == 2
+    assert "one probe at least" in capsys.readouterr().err
 
 
 def _nan_kraus(inst):
@@ -140,7 +146,7 @@ def _nan_kraus(inst):
     return obj
 
 
-def test_input_errors_exit_2(tmp_path, capsys):
+def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
     code, _ = run(["verify-instrument", str(tmp_path / "missing.json")], capsys)
     assert code == 2
     bad = tmp_path / "bad.json"
@@ -218,6 +224,18 @@ def test_input_errors_exit_2(tmp_path, capsys):
     for argv in (["compose", "loop"], ["compose", "one-way"], ["reconstruct-locc"],
                  ["probe-procmat"]):
         assert run(argv + [str(path)], capsys) == (2, ""), argv
+    # a tolerance that is NaN, infinite or negative, from the flag or the environment
+    loop = os.path.join(FIXTURES, "loop_process.json")
+    for tol in ("nan", "inf", "-1e-9"):
+        assert run(["check-procmat", loop, "--tol", tol], capsys) == (2, ""), tol
+        monkeypatch.setenv("CAUSAL_CHANNELS_TOL", tol)
+        assert run(["check-procmat", loop], capsys) == (2, ""), tol
+        monkeypatch.delenv("CAUSAL_CHANNELS_TOL")
+    assert run(["check-procmat", loop, "--tol", "0"], capsys)[0] == 1
+    # a negative probe count
+    path = tmp_path / "process.json"
+    _save(path, random_process_mixture(2, 2, 2, 2, 5), "classical_process")
+    assert run(["probe-procmat", str(path), "--probes", "-1"], capsys) == (2, "")
 
 
 def test_tol_env_fallback(tmp_path, capsys, monkeypatch):

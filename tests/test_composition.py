@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 import tracemalloc
@@ -5,9 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from causal_channels import cli, serialize
 from causal_channels.channels import (
     CpMap,
+    Instrument,
     choi_distance,
+    choi_of,
+    identity_map,
     is_trace_preserving,
     random_cptp,
     random_instrument,
@@ -146,6 +151,54 @@ def test_compose_wired_matches_protocol():
     assert choi_distance(wired, compose_locc_protocol(p)) < 1e-12
 
 
+def _walk_reference(p):
+    """The protocol as the sum over every path of Kraus operators through its rounds.
+
+    The library composed protocols this way before its dynamic program over the
+    classical symbol; the Kraus count grows exponentially with the rounds.
+    """
+    dims = {"A": p.a_dim, "B": p.b_dim}
+    for party, inst in p.rounds:
+        dims[party] = inst.out_dim
+    kraus = []
+    by_input = [inst.by_input() for _, inst in p.rounds]
+
+    def walk(r, symbol, a_op, b_op):
+        if r == len(p.rounds):
+            kraus.append(np.kron(a_op, b_op))
+            return
+        party = p.rounds[r][0]
+        for o, el in by_input[r].get(symbol, ()):
+            for k in el.kraus:
+                if party == "A":
+                    walk(r + 1, o, k @ a_op, b_op)
+                else:
+                    walk(r + 1, o, a_op, k @ b_op)
+
+    walk(0, 0, np.eye(p.a_dim), np.eye(p.b_dim))
+    return CpMap(p.a_dim * p.b_dim, dims["A"] * dims["B"], tuple(kraus))
+
+
+def test_zero_round_protocol_is_the_identity():
+    joint = compose_locc_protocol(LoccProtocol((), 2, 3))
+    assert (joint.in_dim, joint.out_dim) == (6, 6) and len(joint.kraus) == 1
+    assert choi_distance(joint, identity_map(6)) < 1e-12
+
+
+def test_protocol_with_large_elements():
+    # elements far from trace-nonincreasing: Choi entries near 1e12
+    rng = np.random.default_rng(8)
+    steps = []
+    for r in range(4):
+        inst = random_instrument(1 if r == 0 else 2, 2, 2, 2, 2, rng)
+        big = {key: el.scaled(1e3) for key, el in inst.elements.items()}
+        steps.append(("AB"[r % 2], Instrument(inst.in_alphabet, 2, 2, 2, big)))
+    p = LoccProtocol(tuple(steps), 2, 2)
+    want = choi_of(_walk_reference(p)).matrix
+    got = choi_of(compose_locc_protocol(p)).matrix
+    assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+
+
 def test_trace_and_replace_is_tp():
     cp = trace_and_replace_mixed(3, 2)
     assert is_trace_preserving(cp)
@@ -269,6 +322,27 @@ def _oracle_gap(cp, want):
     return float(np.abs(oracle.kraus_choi(cp.kraus, cp.in_dim, cp.out_dim) - want).max())
 
 
+def test_deep_protocol_composes_through_the_cli(tmp_path, capsys, monkeypatch):
+    # 10 rounds of alphabet 2 with 2 Kraus operators per element: 4^10 Kraus paths
+    rng = np.random.default_rng(30)
+    rounds = [("AB"[r % 2], random_instrument(1 if r == 0 else 2, 2, 2, 2, 2, rng))
+              for r in range(10)]
+    path = tmp_path / "protocol.json"
+    path.write_text(serialize.dumps(serialize.encode_locc_protocol(LoccProtocol(tuple(rounds), 2, 2))))
+    joints = []
+
+    def spy(p):
+        joints.append(compose_locc_protocol(p))
+        return joints[-1]
+
+    monkeypatch.setattr(cli, "compose_locc_protocol", spy)
+    assert cli.main(["compose", "protocol", str(path)]) == 0
+    assert len(joints[0].kraus) <= 4 * 4
+    choi = serialize.decode_matrix(json.loads(capsys.readouterr().out)["choi"])
+    want = oracle.protocol_choi([(q, _oracle_inst(x)) for q, x in rounds], 2, 2)
+    assert np.abs(choi - want).max() < ORACLE_TOL
+
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -344,6 +418,28 @@ try:
         p = LoccProtocol(tuple(steps), D, D)
         want = oracle.protocol_choi([(q, _oracle_inst(x)) for q, x in steps], D, D)
         assert _oracle_gap(compose_locc_protocol(p), want) < ORACLE_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("AB"), alphabet, st.integers(2, 3), st.integers(1, 2)),
+                 min_size=1, max_size=5),
+        st.integers(2, 3), st.integers(2, 3), seeds,
+    )
+    def test_protocol_matches_the_kraus_path_walk(plan, a_dim, b_dim, seed):
+        # quantum dims change from round to round, and some elements are zero
+        rng = np.random.default_rng(seed)
+        steps, prev, dims = [], 1, {"A": a_dim, "B": b_dim}
+        for party, n_out, d_out, k in plan:
+            d_in = dims[party]
+            inst = random_instrument(prev, n_out, d_in, d_out, max(k, -(-d_in // (n_out * d_out))), rng)
+            kept = {key: el for key, el in inst.elements.items() if rng.random() < 0.7}
+            steps.append((party, Instrument(prev, n_out, d_in, d_out, kept)))
+            prev, dims[party] = n_out, d_out
+        p = LoccProtocol(tuple(steps), a_dim, b_dim)
+        got, want = compose_locc_protocol(p), _walk_reference(p)
+        assert (got.in_dim, got.out_dim) == (want.in_dim, want.out_dim)
+        assert len(got.kraus) <= got.in_dim * got.out_dim
+        assert _oracle_gap(got, oracle.kraus_choi(want.kraus, want.in_dim, want.out_dim)) < ORACLE_TOL
 
     dims = st.integers(1, 2)
 
