@@ -6,7 +6,7 @@ links and classical process matrices), verifying trace preservation and
 causal-order consistency, and rewriting between the equivalent forms.
 """
 
-from .linalg import DEFAULT_TOL, DimensionError, PositivityError
+from .linalg import DEFAULT_TOL, DimensionError, NonFiniteError, PositivityError
 from .channels import (
     ChoiOperator,
     CpMap,

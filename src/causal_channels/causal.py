@@ -318,12 +318,13 @@ def merge_successive(protocol: LoccProtocol) -> LoccProtocol:
         if merged and merged[-1][0] == party:
             prev = merged.pop()[1]
             rows = inst.by_input()
-            kraus = {}
+            blocks = {}
             for (i, o1), e1 in prev.elements.items():
                 for o2, e2 in rows.get(o1, ()):
-                    kraus.setdefault((i, o2), []).extend(e1.then(e2).kraus)
+                    blocks.setdefault((i, o2), []).append(e1.then(e2).kraus)
             elements = {
-                key: CpMap(prev.in_dim, inst.out_dim, tuple(ks)) for key, ks in kraus.items()
+                key: CpMap(prev.in_dim, inst.out_dim, np.concatenate(bs))
+                for key, bs in blocks.items()
             }
             inst = Instrument(
                 prev.in_alphabet, inst.out_alphabet, prev.in_dim, inst.out_dim, elements

@@ -11,50 +11,51 @@ from .linalg import (
     DimensionError,
     PositivityError,
     as_matrix,
-    basis_ket,
     identity,
     is_positive_semidefinite,
+    require_finite,
 )
 
 
 @dataclass(frozen=True)
 class CpMap:
-    """Completely positive map stored as Kraus operators (out_dim x in_dim).
+    """Completely positive map stored as one Kraus array of shape (k, out_dim, in_dim).
 
-    An empty Kraus list represents the zero map.
+    ``kraus`` may be given as any sequence of out_dim x in_dim matrices or as
+    such an array; k = 0 represents the zero map.
     """
 
     in_dim: int
     out_dim: int
-    kraus: tuple = ()
+    kraus: np.ndarray = ()
 
     def __post_init__(self):
-        ops = tuple(as_matrix(k) for k in self.kraus)
-        for k in ops:
-            if k.shape != (self.out_dim, self.in_dim):
-                raise DimensionError(
-                    f"Kraus operator shape {k.shape} != ({self.out_dim},{self.in_dim})"
-                )
-        object.__setattr__(self, "kraus", ops)
+        try:
+            ops = np.asarray(self.kraus, dtype=np.complex128)
+        except ValueError:  # matrices of unequal shapes
+            raise DimensionError("Kraus operators do not share one shape") from None
+        if ops.shape == (0,):
+            ops = ops.reshape(0, self.out_dim, self.in_dim)
+        if ops.ndim != 3 or ops.shape[1:] != (self.out_dim, self.in_dim):
+            raise DimensionError(
+                f"Kraus array shape {ops.shape} != (k,{self.out_dim},{self.in_dim})"
+            )
+        object.__setattr__(self, "kraus", require_finite(ops))
 
     def kraus_gram(self) -> np.ndarray:
         """Sum of K^dag K; the identity iff the map is trace preserving."""
-        g = np.zeros((self.in_dim, self.in_dim), dtype=np.complex128)
-        for k in self.kraus:
-            g += k.conj().T @ k
-        return g
+        v = self.kraus.reshape(-1, self.in_dim)  # the operators stacked row-wise
+        return require_finite(v.conj().T @ v)
 
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(float(np.linalg.norm(k)) <= tol for k in self.kraus)
+        return bool(np.all(np.linalg.norm(self.kraus, axis=(1, 2)) <= tol))
 
     def scaled(self, factor: float) -> "CpMap":
         """The map multiplied by a nonnegative scalar."""
         if factor < 0:
             raise ValueError("scale factor must be nonnegative")
-        if factor == 0:
-            return CpMap(self.in_dim, self.out_dim, ())
-        s = np.sqrt(factor)
-        return CpMap(self.in_dim, self.out_dim, tuple(s * k for k in self.kraus))
+        ops = self.kraus[:0] if factor == 0 else np.sqrt(factor) * self.kraus
+        return CpMap(self.in_dim, self.out_dim, ops)
 
     def then(self, other: "CpMap") -> "CpMap":
         """Composition other(self(rho)); quantum wires must chain."""
@@ -62,13 +63,13 @@ class CpMap:
             raise DimensionError(
                 f"cannot chain maps: {self.out_dim} -> {other.in_dim}"
             )
-        ops = tuple(k2 @ k1 for k1 in self.kraus for k2 in other.kraus)
-        return CpMap(self.in_dim, other.out_dim, ops)
+        ops = other.kraus[None, :] @ self.kraus[:, None]  # [j, k] = K2_k @ K1_j
+        return CpMap(self.in_dim, other.out_dim, ops.reshape(-1, other.out_dim, self.in_dim))
 
     def __add__(self, other: "CpMap") -> "CpMap":
         if (self.in_dim, self.out_dim) != (other.in_dim, other.out_dim):
             raise DimensionError("cannot add maps of different shapes")
-        return CpMap(self.in_dim, self.out_dim, self.kraus + other.kraus)
+        return CpMap(self.in_dim, self.out_dim, np.concatenate([self.kraus, other.kraus]))
 
 
 def identity_map(dim: int) -> CpMap:
@@ -76,9 +77,10 @@ def identity_map(dim: int) -> CpMap:
 
 
 def tensor_map(a: CpMap, b: CpMap) -> CpMap:
-    """The product map a (x) b on the joint system."""
-    ops = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
-    return CpMap(a.in_dim * b.in_dim, a.out_dim * b.out_dim, ops)
+    """The product map a (x) b on the joint system; operator (j, k) is kron(A_j, B_k)."""
+    ops = np.einsum("jac,kbd->jkabcd", a.kraus, b.kraus)
+    shape = (-1, a.out_dim * b.out_dim, a.in_dim * b.in_dim)
+    return CpMap(a.in_dim * b.in_dim, a.out_dim * b.out_dim, ops.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -99,20 +101,14 @@ def apply_cp_map(cp: CpMap, rho) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (cp.in_dim, cp.in_dim):
         raise DimensionError(f"state shape {rho.shape} != ({cp.in_dim},{cp.in_dim})")
-    out = np.zeros((cp.out_dim, cp.out_dim), dtype=np.complex128)
-    for k in cp.kraus:
-        out += k @ rho @ k.conj().T
-    return out
+    return (cp.kraus @ rho @ cp.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def choi_of(cp: CpMap) -> ChoiOperator:
     """Choi operator sum_{k,l} |k><l| (x) map(|k><l|), subsystem order (in, out)."""
     n = cp.in_dim * cp.out_dim
-    m = np.zeros((n, n), dtype=np.complex128)
-    for k in cp.kraus:
-        v = k.T.reshape(n, 1)  # v[i*out + o] = K[o, i]
-        m += v @ v.conj().T
-    return ChoiOperator(cp.in_dim, cp.out_dim, m)
+    v = cp.kraus.transpose(0, 2, 1).reshape(-1, n)  # v[k, i*out + o] = K_k[o, i]
+    return ChoiOperator(cp.in_dim, cp.out_dim, v.T @ v.conj())
 
 
 def kraus_from_choi(choi: ChoiOperator, tol: float = 1e-10) -> CpMap:
@@ -121,12 +117,10 @@ def kraus_from_choi(choi: ChoiOperator, tol: float = 1e-10) -> CpMap:
     if not is_positive_semidefinite(m, max(tol, DEFAULT_TOL)):
         raise PositivityError("Choi operator is not PSD within tolerance")
     w, v = np.linalg.eigh(m)
-    cutoff = tol * max(float(w[-1]) if w.size else 0.0, 1.0)
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > cutoff:
-            ops.append(np.sqrt(lam) * vec.reshape(choi.in_dim, choi.out_dim).T)
-    return CpMap(choi.in_dim, choi.out_dim, tuple(ops))
+    keep = w > tol * max(float(w[-1]) if w.size else 0.0, 1.0)
+    vecs = np.sqrt(w[keep]) * v[:, keep]  # column k is sqrt(lam_k) * v_k
+    ops = vecs.T.reshape(-1, choi.in_dim, choi.out_dim).transpose(0, 2, 1)
+    return CpMap(choi.in_dim, choi.out_dim, ops)
 
 
 def choi_distance(a: CpMap, b: CpMap) -> float:
@@ -166,12 +160,19 @@ class Instrument:
                     f"element ({i},{o}) has dims ({cp.in_dim},{cp.out_dim}), "
                     f"expected ({self.in_dim},{self.out_dim})"
                 )
-            if cp.kraus:
+            if len(cp.kraus):
                 elems[(i, o)] = cp
         object.__setattr__(self, "elements", elems)
 
     def element(self, i: int, o: int) -> CpMap:
         return self.elements.get((i, o), CpMap(self.in_dim, self.out_dim, ()))
+
+    def kraus_table(self) -> tuple:
+        """Every element's Kraus operators in one (k, out, in) array, and their (i, o) as (k, 2)."""
+        maps = self.elements.values()
+        ops = np.concatenate([CpMap(self.in_dim, self.out_dim).kraus, *(el.kraus for el in maps)])
+        keys = np.array(list(self.elements), dtype=int).reshape(-1, 2)
+        return ops, np.repeat(keys, [len(el.kraus) for el in maps], axis=0)
 
     def by_input(self) -> dict:
         """Nonzero elements grouped by input symbol, as lists of (output, CpMap)."""
@@ -182,15 +183,12 @@ class Instrument:
 
 
 def validate_instrument(inst: Instrument, tol: float = DEFAULT_TOL) -> bool:
-    grams = {}
-    for (i, _), cp in inst.elements.items():
-        grams[i] = grams.get(i, 0) + cp.kraus_gram()
-    eye = identity(inst.in_dim)
-    for i in range(inst.in_alphabet):
-        g = grams.get(i)
-        if g is None or float(np.linalg.norm(g - eye)) > tol:
-            return False
-    return True
+    """Every input's elements sum, by concatenation, to a trace-preserving map."""
+    rows = inst.by_input().values()
+    sums = (np.concatenate([el.kraus for _, el in row]) for row in rows)
+    return len(rows) == inst.in_alphabet and all(
+        is_trace_preserving(CpMap(inst.in_dim, inst.out_dim, ops), tol) for ops in sums
+    )
 
 
 def complementary_map(cp: CpMap, tol: float = DEFAULT_TOL) -> CpMap:
@@ -203,13 +201,10 @@ def complementary_map(cp: CpMap, tol: float = DEFAULT_TOL) -> CpMap:
     w, v = np.linalg.eigh((defect + defect.conj().T) / 2)
     if w.size and float(w[0]) < -tol * max(1, cp.in_dim):
         raise PositivityError("map is not trace-nonincreasing")
-    phi = basis_ket(cp.out_dim, 0)
-    cutoff = 1e-12 * max(1.0, float(w[-1]) if w.size else 0.0)
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > cutoff:
-            ops.append(np.sqrt(lam) * (phi @ vec.conj().reshape(1, cp.in_dim)))
-    return CpMap(cp.in_dim, cp.out_dim, tuple(ops))
+    keep = w > 1e-12 * max(1.0, float(w[-1]) if w.size else 0.0)
+    ops = np.zeros((int(keep.sum()), cp.out_dim, cp.in_dim), dtype=np.complex128)
+    ops[:, 0, :] = (np.sqrt(w[keep]) * v[:, keep]).conj().T  # sqrt(lam) |0><v|
+    return CpMap(cp.in_dim, cp.out_dim, ops)
 
 
 def random_cptp(in_dim: int, out_dim: int, kraus_count: int, seed) -> CpMap:
@@ -223,8 +218,7 @@ def random_cptp(in_dim: int, out_dim: int, kraus_count: int, seed) -> CpMap:
         (out_dim * kraus_count, in_dim)
     )
     q, _ = np.linalg.qr(g)  # columns orthonormal: stack^dag stack = identity
-    ops = tuple(q[j * out_dim : (j + 1) * out_dim, :] for j in range(kraus_count))
-    return CpMap(in_dim, out_dim, ops)
+    return CpMap(in_dim, out_dim, q.reshape(kraus_count, out_dim, in_dim))
 
 
 def random_instrument(
@@ -239,8 +233,7 @@ def random_instrument(
     rng = np.random.default_rng(seed)
     elements = {}
     for i in range(in_alphabet):
-        total = random_cptp(in_dim, out_dim, out_alphabet * kraus_count, rng)
-        for o in range(out_alphabet):
-            ops = total.kraus[o * kraus_count : (o + 1) * kraus_count]
+        total = random_cptp(in_dim, out_dim, out_alphabet * kraus_count, rng).kraus
+        for o, ops in enumerate(total.reshape(out_alphabet, kraus_count, out_dim, in_dim)):
             elements[(i, o)] = CpMap(in_dim, out_dim, ops)
     return Instrument(in_alphabet, out_alphabet, in_dim, out_dim, elements)

@@ -26,7 +26,7 @@ from .composition import (
     compose_one_way,
     compose_wired,
 )
-from .linalg import DEFAULT_TOL, DimensionError
+from .linalg import DEFAULT_TOL, DimensionError, NonFiniteError
 from .procmat import (
     ProcessValidityError,
     causal_decompose,
@@ -195,6 +195,7 @@ def _cmd_discriminate_nine(args):
 
 
 def _cmd_check_causal(args):
+    _resolve_tol(args)  # validated only: the verdict uses causal.MARGINAL_TOL
     wiring = _load(args.wiring, "aggregate_wiring")
     order = _load(args.order, "causal_order")
     with _input_errors(args.order, (DimensionError,)):
@@ -275,6 +276,7 @@ def _cmd_probe_procmat(args):
 
 
 def _cmd_selftest(args):
+    _resolve_tol(args)  # validated only: each criterion has its own threshold
     return run_all(seed=args.seed)
 
 
@@ -343,7 +345,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         report = args.handler(args)
-    except InputError as exc:
+    except (InputError, NonFiniteError) as exc:  # a bad input, or one whose products overflow
         sys.stderr.write(f"error: {exc}\n")
         return 2
     _emit(report, args)

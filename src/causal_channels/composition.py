@@ -21,9 +21,10 @@ from .channels import (
     complementary_map,
     identity_map,
     is_trace_preserving,
+    tensor_map,
     validate_instrument,
 )
-from .linalg import DEFAULT_TOL, DimensionError, basis_ket, identity
+from .linalg import DEFAULT_TOL, DimensionError, identity
 
 DIST_TOL = 1e-12
 
@@ -140,24 +141,26 @@ class LoccProtocol:
 def _link(a: Instrument, b: Instrument, pairs) -> CpMap:
     """The one contraction behind every wired form (the link product).
 
-    ``pairs`` yields (ea, eb, p) for the element pairs the wiring supports,
-    p = p(i_A, i_B | o_A, o_B) > 0; each contributes the Kraus operators
-    sqrt(p) * (ka (x) kb).
+    ``pairs`` yields (ea, eb) for each Alice element ea: eb is the sum of the
+    Bob elements wired to it, each scaled by its weight p(i_A, i_B | o_A, o_B).
+    The tensor product is bilinear, so ea (x) eb is the sum of the weighted
+    element pairs, and the joint map concatenates one such block per ea.
     """
-    kraus = []
-    for ea, eb, w in pairs:
-        s = np.sqrt(w)
-        kraus.extend(s * np.kron(ka, kb) for ka in ea.kraus for kb in eb.kraus)
-    return CpMap(a.in_dim * b.in_dim, a.out_dim * b.out_dim, tuple(kraus))
+    blocks = [tensor_map(ea, eb).kraus for ea, eb in pairs]
+    return CpMap(a.in_dim * b.in_dim, a.out_dim * b.out_dim, _concat(blocks))
+
+
+def _concat(blocks):
+    """The Kraus arrays ``blocks`` as one array: the Kraus form of their maps' sum."""
+    return np.concatenate(blocks) if blocks else ()
 
 
 def _table_pairs(a: Instrument, b: Instrument, table):
-    """Element pairs of positive weight under a table indexed (i_A, i_B, o_A, o_B)."""
+    """Alice elements with their Bob sums under a table indexed (i_A, i_B, o_A, o_B)."""
+    ops, keys = b.kraus_table()
     for (i_a, o_a), ea in a.elements.items():
-        for (i_b, o_b), eb in b.elements.items():
-            w = table[i_a, i_b, o_a, o_b]
-            if w > 0.0:
-                yield ea, eb, w
+        s = np.sqrt(table[i_a, keys[:, 0], o_a, keys[:, 1]])  # per Bob operator
+        yield ea, CpMap(b.in_dim, b.out_dim, s[s > 0.0, None, None] * ops[s > 0.0])
 
 
 def compose_one_way(alice: Instrument, bob_maps) -> CpMap:
@@ -179,7 +182,7 @@ def compose_one_way(alice: Instrument, bob_maps) -> CpMap:
     bob = Instrument(
         n, 1, bob_maps[0].in_dim, bob_maps[0].out_dim, {(o, 0): m for o, m in enumerate(bob_maps)}
     )
-    pairs = ((ea, bob_maps[o_a], 1.0) for (_, o_a), ea in alice.elements.items())
+    pairs = ((ea, bob_maps[o_a]) for (_, o_a), ea in alice.elements.items())
     return _link(alice, bob, pairs)
 
 
@@ -209,7 +212,7 @@ def compose_loop(alice: Instrument, bob: Instrument) -> CpMap:
             f"Bob {bob.in_alphabet}->{bob.out_alphabet}"
         )
     pairs = (
-        (ea, bob.elements[(a_sym, b_sym)], 1.0)
+        (ea, bob.elements[(a_sym, b_sym)])
         for (b_sym, a_sym), ea in alice.elements.items()
         if (a_sym, b_sym) in bob.elements
     )
@@ -235,16 +238,14 @@ def to_loop_form(spec: JointMapSpec) -> tuple[Instrument, Instrument]:
             b_sym = o_a * n_ob + o_b
             for i_b in range(n_ib):
                 for x in range(n_x):
-                    kraus = [
-                        np.sqrt(t[i_a, i_b, o_a, o_b]) * k
+                    blocks = [
+                        np.sqrt(t[i_a, i_b, o_a, o_b]) * a.element(i_a, x).kraus
                         for i_a in range(n_ia)
                         if t[i_a, i_b, o_a, o_b] > 0.0
-                        for k in a.element(i_a, x).kraus
                     ]
-                    if kraus:
-                        alice_elems[(b_sym, i_b * n_x + x)] = CpMap(
-                            a.in_dim, a.out_dim, tuple(kraus)
-                        )
+                    alice_elems[(b_sym, i_b * n_x + x)] = CpMap(
+                        a.in_dim, a.out_dim, _concat(blocks)
+                    )
     alice_new = Instrument(n_new_b, n_new_a, a.in_dim, a.out_dim, alice_elems)
 
     bob_elems = {
@@ -304,17 +305,15 @@ def compose_locc_protocol(p: LoccProtocol) -> CpMap:
     a, b = p.a_dim, p.b_dim
     ops, sym = identity(a * b).reshape(1, a, b, a * b), np.zeros(1, dtype=int)
     for party, inst in p.rounds:
-        terms = [(i, o, k) for (i, o), el in inst.elements.items() for k in el.kraus]
-        ks = np.array([k for _, _, k in terms]).reshape(len(terms), inst.out_dim, inst.in_dim)
-        # apply each term, on the party's output axis, to every operator whose symbol it reads
-        rows, js = np.nonzero(sym[:, None] == np.array([i for i, _, _ in terms], dtype=int))
+        ks, keys = inst.kraus_table()
+        # apply each operator, on the party's output axis, to every one whose symbol it reads
+        rows, js = np.nonzero(sym[:, None] == keys[:, 0])
         spec = "pxu,pubi->pxbi" if party == "A" else "pxu,paui->paxi"
         ops = np.einsum(spec, ks[js], ops[rows])
-        sym = np.array([o for _, o, _ in terms], dtype=int)[js]
-        ops, sym = _merge_by_symbol(ops, sym, inst.out_alphabet)
+        ops, sym = _merge_by_symbol(ops, keys[js, 1], inst.out_alphabet)
     ops = _merge_by_symbol(ops, np.zeros(len(ops), dtype=int), 1)[0]
     d_out = ops.shape[1] * ops.shape[2]
-    return CpMap(a * b, d_out, tuple(ops.reshape(-1, d_out, a * b)))
+    return CpMap(a * b, d_out, ops.reshape(-1, d_out, a * b))
 
 
 def check_round_alphabets(alice_rounds, bob_rounds, wiring: CondDist) -> None:
@@ -360,12 +359,8 @@ def operator_norm_of_gram(cp: CpMap) -> float:
 
 def trace_and_replace_mixed(in_dim: int, out_dim: int) -> CpMap:
     """CPTP map rho -> tr(rho) * (maximally mixed state)."""
-    s = 1.0 / np.sqrt(out_dim)
-    ops = tuple(
-        s * (basis_ket(out_dim, mo) @ basis_ket(in_dim, ni).conj().T)
-        for mo in range(out_dim)
-        for ni in range(in_dim)
-    )
+    # operator mo * in_dim + ni is |mo><ni| / sqrt(out_dim)
+    ops = identity(out_dim * in_dim).reshape(-1, out_dim, in_dim) / np.sqrt(out_dim)
     return CpMap(in_dim, out_dim, ops)
 
 
@@ -391,12 +386,9 @@ def sep_table_instruments(terms, tol: float = DEFAULT_TOL) -> tuple[Instrument, 
     for k, (ea, eb) in enumerate(terms):
         alice_elems[(k, k)] = ea
         bob_elems[(k, k)] = eb
-        comp_a = complementary_map(ea, tol)
-        comp_b = complementary_map(eb, tol)
-        if comp_a.kraus:
-            alice_elems[(k, big_k)] = comp_a
-        if comp_b.kraus:
-            bob_elems[(k, big_k)] = comp_b
+        # Instrument drops a zero complement
+        alice_elems[(k, big_k)] = complementary_map(ea, tol)
+        bob_elems[(k, big_k)] = complementary_map(eb, tol)
     # Padding keeps every conditioning symbol trace preserving.
     alice_elems[(big_k, big_k)] = pad_a
     alice_elems[(big_k + 1, big_k + 1)] = pad_a

@@ -20,13 +20,22 @@ class PositivityError(ValueError):
     """A matrix required to be PSD (or Hermitian) is not."""
 
 
+class NonFiniteError(ValueError):
+    """An input, or a product computed from one, holds NaN or infinite entries."""
+
+
+def require_finite(a: np.ndarray) -> np.ndarray:
+    """The one finiteness check: ``a`` itself, or ``NonFiniteError``."""
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix contains NaN or Inf entries")
+    return a
+
+
 def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("matrix contains NaN or Inf entries")
-    return a
+    return require_finite(a)
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:

@@ -195,14 +195,15 @@ def _one_way_protocol(first: Instrument, first_weights, cond, second: Instrument
     follow_elems = {}
     for i in range(n_i):
         for o in range(n_o):
-            kraus = [
-                np.sqrt(cond[i2, i, o]) * k
+            blocks = [
+                np.sqrt(cond[i2, i, o]) * el.kraus
                 for (i2, _), el in second.elements.items()
                 if cond[i2, i, o] > 0.0
-                for k in el.kraus
             ]
-            if kraus:
-                follow_elems[(i * n_o + o, 0)] = CpMap(second.in_dim, second.out_dim, tuple(kraus))
+            if blocks:
+                follow_elems[(i * n_o + o, 0)] = CpMap(
+                    second.in_dim, second.out_dim, np.concatenate(blocks)
+                )
     follow_inst = Instrument(n_i * n_o, 1, second.in_dim, second.out_dim, follow_elems)
     rounds = ((lead, lead_inst), ("B" if lead == "A" else "A", follow_inst))
     a_inst = lead_inst if lead == "A" else follow_inst
@@ -300,11 +301,9 @@ def probe_quantum_process(
         ma = choi_of(random_cptp(n_ia, n_oa, ka, rng)).matrix
         mb = choi_of(random_cptp(n_ib, n_ob, kb, rng)).matrix
         value(ma, mb, f"random-{j}")
-    fa = list(product(range(n_oa), repeat=n_ia))
-    fb = list(product(range(n_ob), repeat=n_ib))
-    if len(fa) * len(fb) <= 4096:
-        for f in fa:
-            for g in fb:
+    if n_oa**n_ia * n_ob**n_ib <= 4096:  # counted before any strategy is built
+        for f in product(range(n_oa), repeat=n_ia):
+            for g in product(range(n_ob), repeat=n_ib):
                 value(
                     _deterministic_probe(n_ia, n_oa, f),
                     _deterministic_probe(n_ib, n_ob, g),

@@ -16,6 +16,7 @@ from .channels import (
     Instrument,
     apply_cp_map,
     is_trace_preserving,
+    tensor_map,
 )
 from .composition import compose_loop, normalize_terms, sep_table_instruments
 from .linalg import DEFAULT_TOL, DimensionError, basis_ket, ket_bra
@@ -45,9 +46,7 @@ class SepMap:
 
     def joint_map(self) -> CpMap:
         a0, b0 = self.terms[0]
-        kraus = tuple(
-            np.kron(ka, kb) for ea, eb in self.terms for ka in ea.kraus for kb in eb.kraus
-        )
+        kraus = np.concatenate([tensor_map(ea, eb).kraus for ea, eb in self.terms])
         return CpMap(a0.in_dim * b0.in_dim, a0.out_dim * b0.out_dim, kraus)
 
 
@@ -71,7 +70,7 @@ def locc_star_to_sep(alice: Instrument, bob: Instrument, tol: float = DEFAULT_TO
     terms = []
     for (b_sym, a_sym), ea in sorted(alice.elements.items()):
         eb = bob.element(a_sym, b_sym)
-        if eb.kraus and not ea.is_zero() and not eb.is_zero():
+        if not ea.is_zero() and not eb.is_zero():
             terms.append((ea, eb))
     return SepMap(tuple(terms))
 

@@ -80,7 +80,7 @@ def decode_cp_map(obj, where="cpmap") -> CpMap:
     in_dim = _int(obj, "in_dim", where)
     out_dim = _int(obj, "out_dim", where)
     kraus = _require(obj, "kraus", (list,), where)
-    ops = tuple(decode_matrix(k, f"{where}.kraus[{j}]") for j, k in enumerate(kraus))
+    ops = [decode_matrix(k, f"{where}.kraus[{j}]") for j, k in enumerate(kraus)]
     return CpMap(in_dim, out_dim, ops)
 
 
@@ -119,7 +119,7 @@ def decode_instrument(obj, where="instrument") -> Instrument:
             raise SchemaError(f"{where}: elements['{key}'] is not a list")
         for o, cp_obj in enumerate(row):
             cp = decode_cp_map(cp_obj, f"{where}.elements['{key}'][{o}]")
-            if cp.kraus:
+            if len(cp.kraus):
                 elements[(i, o)] = cp
     return Instrument(n_in, n_out, in_dim, out_dim, elements)
 

@@ -138,11 +138,11 @@ def test_probe_procmat(tmp_path, capsys):
     assert "one probe at least" in capsys.readouterr().err
 
 
-def _nan_kraus(inst):
-    """The encoded instrument with its first Kraus entry set to NaN."""
+def _kraus_entry(inst, value):
+    """The encoded instrument with its first Kraus entry set to ``value``."""
     obj = serialize.encode_instrument(inst)
     cp = next(cp for row in obj["elements"].values() for cp in row if cp["kraus"])
-    cp["kraus"][0]["data"][0][0] = float("nan")
+    cp["kraus"][0]["data"][0][0] = value
     return obj
 
 
@@ -182,7 +182,7 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
             "bob": serialize.encode_instrument(random_instrument(3, 2, 2, 2, 1, 3)),
         }),
         "loop-nan": ("loop", {
-            "alice": _nan_kraus(loop_a), "bob": serialize.encode_instrument(loop_b),
+            "alice": _kraus_entry(loop_a, float("nan")), "bob": serialize.encode_instrument(loop_b),
         }),
     }
     for name, (mode, obj) in cases.items():
@@ -192,10 +192,29 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert (code, out) == (2, ""), name
     with open(os.path.join(FIXTURES, "reconstruct_noisy.json")) as fh:
         fixture = json.load(fh)
-    fixture["alice_rounds"][0] = _nan_kraus(serialize.decode_instrument(fixture["alice_rounds"][0]))
+    first_round = serialize.decode_instrument(fixture["alice_rounds"][0])
+    fixture["alice_rounds"][0] = _kraus_entry(first_round, float("nan"))
     path = tmp_path / "nan-fixture.json"
     path.write_text(json.dumps(fixture))
     assert run(["reconstruct-locc", str(path)], capsys) == (2, "")
+    # finite entries whose products overflow
+    fixture["alice_rounds"][0] = _kraus_entry(first_round, 1e308)
+    path = tmp_path / "overflow-fixture.json"
+    path.write_text(json.dumps(fixture))
+    with open(os.path.join(FIXTURES, "nine_state.json")) as fh:
+        nine = json.load(fh)
+    nine["alice"] = _kraus_entry(serialize.decode_instrument(nine["alice"]), 1e308)
+    (tmp_path / "overflow-loop.json").write_text(json.dumps(nine))
+    rounds = (("A", random_instrument(1, 2, 2, 2, 1, 5)), ("B", random_instrument(2, 2, 2, 2, 1, 6)))
+    protocol = LoccProtocol(rounds, 2, 2)
+    obj = serialize.encode_locc_protocol(protocol)
+    obj["rounds"][0]["instrument"] = _kraus_entry(protocol.rounds[0][1], 1e308)
+    (tmp_path / "overflow-protocol.json").write_text(json.dumps(obj))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for argv in (["reconstruct-locc", "overflow-fixture.json"],
+                     ["compose", "loop", "overflow-loop.json"],
+                     ["compose", "protocol", "overflow-protocol.json"]):
+            assert run(argv[:-1] + [str(tmp_path / argv[-1])], capsys) == (2, ""), argv
     # rounds or an order that do not match the wiring
     extra_node = {
         "nodes": [{"party": "A", "round": 1}, {"party": "B", "round": 1},
@@ -232,6 +251,9 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert run(["check-procmat", loop], capsys) == (2, ""), tol
         monkeypatch.delenv("CAUSAL_CHANNELS_TOL")
     assert run(["check-procmat", loop, "--tol", "0"], capsys)[0] == 1
+    order_ab = os.path.join(FIXTURES, "order_ab.json")
+    assert run(["check-causal", wiring, order_ab, "--tol", "nan"], capsys) == (2, "")
+    assert run(["selftest", "--tol", "-1"], capsys) == (2, "")
     # a negative probe count
     path = tmp_path / "process.json"
     _save(path, random_process_mixture(2, 2, 2, 2, 5), "classical_process")

@@ -185,6 +185,17 @@ def test_probe_zero_operator():
     assert abs(report["max_deviation"] - 1.0) < 1e-12
 
 
+def test_probe_counts_strategy_pairs_before_listing_them():
+    from test_composition import _peak_mb
+
+    # (16, 2, 1, 1) has 2**16 strategy pairs, over the 4 096-pair cap; listing
+    # them before the cap held 65 536 tuples, about 12 MB, for no probe at all.
+    w = np.eye(32) / 16
+    report, peak = _peak_mb(lambda: probe_quantum_process(w, 16, 2, 1, 1, probes=2, seed=0))
+    assert peak < 2.0
+    assert [r["probe"] for r in report["probes"]] == ["random-0", "random-1"]
+
+
 def test_seeded_generators_are_reproducible():
     w1 = random_one_way_process(2, 2, 2, 2, 99, "BA")
     w2 = random_one_way_process(2, 2, 2, 2, 99, "BA")
