@@ -4,7 +4,8 @@ A wiring over the classical inputs/outputs of per-round local operations is
 "causal-order respecting" when every prefix marginal depends only on outputs
 of strictly preceding operations.  Such wirings can be rewritten as a
 standard, delta-wired, alternating LOCC protocol; this module implements the
-check and the constructive rewrite.
+check and the constructive rewrite.  A causal order is one boolean precedence
+matrix, closed once; pasts, the check and linear extensions all read it.
 """
 
 from __future__ import annotations
@@ -48,43 +49,41 @@ class OpLabel:
 
 @dataclass(frozen=True)
 class CausalOrder:
-    """Strict partial order over the 2N local operations, transitively closed.
+    """Strict partial order over the n_a + n_b local operations.
 
     Within-party successor edges are always present; ``edges`` may add
-    cross-party constraints.
+    cross-party constraints.  The relation is closed once, by Warshall's
+    algorithm, into ``before``: a boolean (N, N) precedence matrix in
+    ``node_list()`` order, where ``before[i, j]`` means node i precedes node j.
+    ``edges`` then holds the closed relation as label pairs.  Closure costs
+    O(N^3) elementwise work in N numpy steps.
     """
 
     n_a: int
     n_b: int
     edges: frozenset = field(default_factory=frozenset)
+    before: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = self.node_list()
-        node_set = set(nodes)
-        rel = set()
+        index = {x: j for j, x in enumerate(nodes)}
+        before = np.zeros((len(nodes), len(nodes)), dtype=bool)
         for x, y in self.edges:
-            if x not in node_set or y not in node_set:
+            if x not in index or y not in index:
                 raise ValueError(f"edge ({x},{y}) references an unknown operation")
-            rel.add((x, y))
-        for k in range(1, self.n_a):
-            rel.add((OpLabel("A", k), OpLabel("A", k + 1)))
-        for k in range(1, self.n_b):
-            rel.add((OpLabel("B", k), OpLabel("B", k + 1)))
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
-            for x, y in list(rel):
-                for y2, z in list(rel):
-                    if y2 == y and (x, z) not in rel:
-                        rel.add((x, z))
-                        changed = True
-        for x, y in rel:
-            if x == y:
-                raise CausalOrderError("relation is not irreflexive (contains a cycle)")
-            if (y, x) in rel:
-                raise CausalOrderError(f"relation is not antisymmetric: {x} <-> {y}")
-        object.__setattr__(self, "edges", frozenset(rel))
+            before[index[x], index[y]] = True
+        succ = np.arange(len(nodes) - 1)
+        succ = succ[succ + 1 != self.n_a]  # A_k -> A_k+1 and B_k -> B_k+1
+        before[succ, succ + 1] = True
+        for k in range(len(nodes)):
+            before |= before[:, k, None] & before[k]
+        # a cycle, a 2-cycle included, closes to a diagonal entry
+        on_cycle = np.flatnonzero(before.diagonal())
+        if on_cycle.size:
+            raise CausalOrderError(f"relation contains a cycle through {nodes[on_cycle[0]]}")
+        object.__setattr__(self, "before", before)
+        pairs = zip(*np.nonzero(before))
+        object.__setattr__(self, "edges", frozenset((nodes[i], nodes[j]) for i, j in pairs))
 
     def node_list(self):
         return [OpLabel("A", k) for k in range(1, self.n_a + 1)] + [
@@ -113,12 +112,12 @@ def all_orders(n_a: int, n_b: int):
 
 def past_set(order: CausalOrder, inputs) -> set:
     """Operations whose classical outputs lie strictly before any given input."""
-    inputs = set(inputs)
-    node_set = set(order.node_list())
-    for n in inputs:
-        if n not in node_set:
-            raise ValueError(f"unknown operation label {n}")
-    return {m for m in order.node_list() if any(order.precedes(m, n) for n in inputs)}
+    nodes, inputs = order.node_list(), set(inputs)
+    unknown = inputs.difference(nodes)
+    if unknown:
+        raise ValueError(f"unknown operation label {next(iter(unknown))}")
+    kept = [j for j, x in enumerate(nodes) if x in inputs]
+    return {nodes[j] for j in np.flatnonzero(order.before[:, kept].any(axis=1))}
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,13 @@ class AggregateWiring:
 
 
 def find_causal_violation(w: AggregateWiring, order: CausalOrder):
-    """A witnessing (k, l, output label) if the no-signaling condition fails."""
+    """A witnessing (k, l, output label) if the no-signaling condition fails.
+
+    Prefixes (k, l) run in row-major order and output slots in ascending order;
+    slot j outside the past of A_1..A_k, B_1..B_l violates when some slice of
+    the prefix marginal along O_j deviates from the O_j = 0 slice by more than
+    ``MARGINAL_TOL``.
+    """
     if order.n_a != w.n_a or order.n_b != w.n_b:
         raise DimensionError("order and wiring describe different round counts")
     total = w.n_a + w.n_b
@@ -165,24 +170,17 @@ def find_causal_violation(w: AggregateWiring, order: CausalOrder):
         for l in range(w.n_b + 1):
             if k == 0 and l == 0:
                 continue
-            kept_labels = [OpLabel("A", r) for r in range(1, k + 1)] + [
-                OpLabel("B", r) for r in range(1, l + 1)
-            ]
-            kept = [w.slot(x) for x in kept_labels]
+            # slots are node_list() positions: A rounds, then B rounds
+            kept = list(range(k)) + list(range(w.n_a, w.n_a + l))
             dropped = tuple(j for j in range(total) if j not in kept)
             marginal = w.dist.table.sum(axis=dropped) if dropped else w.dist.table
-            past = {w.slot(x) for x in past_set(order, kept_labels)}
+            past = order.before[:, kept].any(axis=1)
             # marginal axes: kept inputs (ascending slot), then all output slots
-            for j in range(total):
-                if j in past:
-                    continue
+            for j in np.flatnonzero(~past).tolist():
                 axis = len(kept) + j
-                ref = np.take(marginal, 0, axis=axis)
-                for v in range(1, marginal.shape[axis]):
-                    if not np.allclose(
-                        np.take(marginal, v, axis=axis), ref, atol=MARGINAL_TOL, rtol=0
-                    ):
-                        return (k, l, w.label_of_slot(j))
+                dev = np.abs(marginal - np.take(marginal, [0], axis=axis))
+                if dev.max() > MARGINAL_TOL:
+                    return (k, l, w.label_of_slot(j))
     return None
 
 
@@ -193,20 +191,17 @@ def respects_causal_order(w: AggregateWiring, order: CausalOrder) -> bool:
 def linear_extension(order: CausalOrder) -> tuple:
     """The operations in one order-respecting sequence.
 
-    Kahn's algorithm; ties broken by (party A first, then ascending round).
+    Kahn's algorithm on ``order.before``: each step takes the first remaining
+    node in ``node_list()`` order (party A first, then ascending round) that
+    no remaining node precedes.
     """
     nodes = order.node_list()
-    remaining = set(nodes)
+    remaining = np.ones(len(nodes), dtype=bool)
     seq = []
-    while remaining:
-        ready = sorted(
-            n for n in remaining if not any(order.precedes(m, n) for m in remaining if m != n)
-        )
-        if not ready:
-            raise CausalOrderError("relation contains a cycle")
-        pick = ready[0]
-        seq.append(pick)
-        remaining.remove(pick)
+    for _ in nodes:
+        pick = np.flatnonzero(remaining & ~order.before[remaining].any(axis=0))[0]
+        remaining[pick] = False
+        seq.append(nodes[pick])
     return tuple(seq)
 
 
@@ -235,23 +230,13 @@ def build_q_channels(w: AggregateWiring, seq) -> list:
     q = w.dist.table.transpose(tuple(slots) + tuple(total + s for s in slots))
     in_sizes = [q.shape[j] for j in range(total)]
 
-    def marg(l):
-        """sum over I_{l+1}..I_{2N}, outputs beyond O_{l-1} sliced at 0."""
-        m = q.sum(axis=tuple(range(l, total)))
-        # axes now: I_1..I_l, O_1..O_total; keep only O_1..O_{l-1}
-        for _ in range(total - (l - 1) if l >= 1 else total):
-            m = np.take(m, 0, axis=m.ndim - 1)
-        return m
-
     channels = []
-    prev = np.ones(())  # marg(0) == 1
+    prev = np.ones(())  # the marginal of the empty prefix
     for l in range(1, total + 1):
-        cur = marg(l)
-        denom = prev
-        # broadcast denom over the new I_l axis and the new O_{l-1} axis
-        denom = np.expand_dims(denom, axis=l - 1)
-        if l >= 2:
-            denom = np.expand_dims(denom, axis=denom.ndim)
+        # sum over I_{l+1}..I_total, then keep O_1..O_{l-1} by slicing O_l..O_total at 0
+        cur = q.sum(axis=tuple(range(l, total)))[(Ellipsis,) + (0,) * (total - l + 1)]
+        # broadcast the previous marginal over the new I_l axis and the new O_{l-1} axis
+        denom = np.expand_dims(prev, (l - 1, prev.ndim + 1) if l >= 2 else l - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.where(denom > 0, cur / np.where(denom > 0, denom, 1.0), 1.0 / in_sizes[l - 1])
         channels.append(QChannel(l, seq[l - 1], r))
@@ -352,8 +337,7 @@ def reconstruct_locc(alice_rounds, bob_rounds, w: AggregateWiring, order: Causal
     steps = build_primed_operations(alice_rounds, bob_rounds, channels)
     a_dim = alice_rounds[0].in_dim if alice_rounds else 1
     b_dim = bob_rounds[0].in_dim if bob_rounds else 1
-    protocol = LoccProtocol(tuple(steps), a_dim, b_dim)
-    return merge_successive(protocol)
+    return merge_successive(LoccProtocol(tuple(steps), a_dim, b_dim))
 
 
 def protocol_to_wired_form(p: LoccProtocol):
@@ -365,32 +349,14 @@ def protocol_to_wired_form(p: LoccProtocol):
     alice_rounds = [inst for party, inst in p.rounds if party == "A"]
     bob_rounds = [inst for party, inst in p.rounds if party == "B"]
     n_a, n_b = len(alice_rounds), len(bob_rounds)
-
-    # slot index (A rounds then B rounds) for each protocol position
-    slot_of_pos = []
-    seen = {"A": 0, "B": 0}
-    for party, _ in p.rounds:
-        seen[party] += 1
-        slot_of_pos.append(seen[party] - 1 if party == "A" else n_a + seen[party] - 1)
-
-    in_alphas = [None] * (n_a + n_b)
-    out_alphas = [None] * (n_a + n_b)
-    link = [None] * (n_a + n_b)
-    for r, (party, inst) in enumerate(p.rounds):
-        j = slot_of_pos[r]
-        in_alphas[j] = inst.in_alphabet
-        out_alphas[j] = inst.out_alphabet
-        link[j] = ("const", 0) if r == 0 else slot_of_pos[r - 1]
-    dist = delta_wiring(tuple(in_alphas), tuple(out_alphas), link)
-    wiring = AggregateWiring(n_a, n_b, dist)
-
-    labels = []
-    seen = {"A": 0, "B": 0}
-    for party, _ in p.rounds:
+    in_alphas, out_alphas, link = [None] * (n_a + n_b), [None] * (n_a + n_b), [None] * (n_a + n_b)
+    labels, seen, prev = [], {"A": 0, "B": 0}, ("const", 0)
+    for party, inst in p.rounds:
         seen[party] += 1
         labels.append(OpLabel(party, seen[party]))
-    edges = frozenset(
-        (labels[r], labels[s]) for r in range(len(labels)) for s in range(r + 1, len(labels))
-    )
-    order = CausalOrder(n_a, n_b, edges)
-    return alice_rounds, bob_rounds, wiring, order
+        j = seen[party] - 1 if party == "A" else n_a + seen[party] - 1  # slot of this round
+        in_alphas[j], out_alphas[j], link[j] = inst.in_alphabet, inst.out_alphabet, prev
+        prev = j
+    dist = delta_wiring(tuple(in_alphas), tuple(out_alphas), link)
+    order = CausalOrder(n_a, n_b, frozenset(zip(labels, labels[1:])))
+    return alice_rounds, bob_rounds, AggregateWiring(n_a, n_b, dist), order

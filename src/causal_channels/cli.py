@@ -14,6 +14,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import serialize
 from .causal import CausalOrderError, ReconstructionSizeError, find_causal_violation
 from .causal import reconstruct_locc
@@ -26,8 +28,9 @@ from .composition import (
     compose_one_way,
     compose_wired,
 )
-from .linalg import DEFAULT_TOL, DimensionError, NonFiniteError
+from .linalg import DEFAULT_TOL, DimensionError, NonFiniteError, PositivityError
 from .procmat import (
+    ProbeCountError,
     ProcessValidityError,
     causal_decompose,
     classical_process_to_choi,
@@ -60,15 +63,15 @@ def _resolve_tol(args) -> float:
 
 
 @contextlib.contextmanager
-def _input_errors(path, kinds=(ValueError, TypeError, KeyError, AttributeError)):
-    """Turn a missing file, a schema error or an error of ``kinds`` into InputError."""
+def _input_errors(path):
+    """Turn a missing file or any decoding error of its contents into InputError."""
     try:
         yield
     except FileNotFoundError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except SchemaError as exc:
         raise InputError(str(exc)) from exc
-    except kinds as exc:
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -151,8 +154,7 @@ def _cmd_compose(args):
                 serialize.decode_cp_map(c, f"one_way.bob_maps[{j}]")
                 for j, c in enumerate(obj.get("bob_maps", []))
             ]
-        with _input_errors(args.file, (AlphabetError, DimensionError)):
-            joint = compose_one_way(alice, bob_maps)
+        joint = compose_one_way(alice, bob_maps)
     elif args.mode == "protocol":
         joint = compose_locc_protocol(_load(args.file, "locc_protocol"))
     elif args.mode == "ccstar":
@@ -162,8 +164,7 @@ def _cmd_compose(args):
         with _input_errors(args.file):
             alice = serialize.decode_instrument(obj.get("alice"), "loop.alice")
             bob = serialize.decode_instrument(obj.get("bob"), "loop.bob")
-        with _input_errors(args.file, (AlphabetError, DimensionError)):
-            joint = compose_loop(alice, bob)
+        joint = compose_loop(alice, bob)
     defect = tp_defect(joint)
     return {
         "pass": defect <= tol,
@@ -198,8 +199,7 @@ def _cmd_check_causal(args):
     _resolve_tol(args)  # validated only: the verdict uses causal.MARGINAL_TOL
     wiring = _load(args.wiring, "aggregate_wiring")
     order = _load(args.order, "causal_order")
-    with _input_errors(args.order, (DimensionError,)):
-        witness = find_causal_violation(wiring, order)
+    witness = find_causal_violation(wiring, order)
     if witness is None:
         return {"pass": True}
     k, l, label = witness
@@ -224,8 +224,6 @@ def _cmd_reconstruct_locc(args):
         protocol = reconstruct_locc(alice_rounds, bob_rounds, wiring, order)
     except CausalOrderError as exc:
         return {"pass": False, "error": str(exc)}
-    except (AlphabetError, DimensionError, ReconstructionSizeError) as exc:
-        raise InputError(str(exc)) from exc
     direct = compose_wired(alice_rounds, bob_rounds, wiring.dist)
     dist = choi_distance(compose_locc_protocol(protocol), direct)
     return {
@@ -267,12 +265,9 @@ def _cmd_probe_procmat(args):
         with _input_errors(args.file):
             matrix = serialize.decode_matrix(obj.get("matrix"), "probe.matrix")
             dims = tuple(int(obj[k]) for k in ("n_ia", "n_oa", "n_ib", "n_ob"))
-    try:
-        return probe_quantum_process(
-            matrix, *dims, probes=args.probes, seed=args.seed, tol=_resolve_tol(args)
-        )
-    except ValueError as exc:  # not PSD, wrong shape, or no probe ran
-        raise InputError(str(exc)) from exc
+    return probe_quantum_process(
+        matrix, *dims, probes=args.probes, seed=args.seed, tol=_resolve_tol(args)
+    )
 
 
 def _cmd_selftest(args):
@@ -344,8 +339,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
-        report = args.handler(args)
-    except (InputError, NonFiniteError) as exc:  # a bad input, or one whose products overflow
+        # an overflowing product raises NonFiniteError; numpy's own warnings stay quiet
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = args.handler(args)
+    # the library's input rejections; its verification failures come back as reports
+    except (InputError, NonFiniteError, AlphabetError, DimensionError, PositivityError,
+            ReconstructionSizeError, ProbeCountError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     _emit(report, args)

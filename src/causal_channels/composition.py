@@ -51,6 +51,8 @@ class CondDist:
         t = np.asarray(self.table, dtype=np.float64)
         if t.shape != ins + outs:
             raise DimensionError(f"table shape {t.shape} != {ins + outs}")
+        if 0 in outs:  # no output fixing to normalise over, so nothing would be checked
+            raise DimensionError(f"empty output alphabet in {outs}")
         if t.size and float(t.min()) < -DIST_TOL:
             raise ValueError("conditional distribution has negative entries")
         t = np.clip(t, 0.0, None)
@@ -70,14 +72,13 @@ def delta_wiring(input_alphabets, output_alphabets, link) -> CondDist:
     ins = tuple(input_alphabets)
     outs = tuple(output_alphabets)
     table = np.zeros(ins + outs)
-    for out_idx in np.ndindex(*outs) if outs else [()]:
-        in_idx = []
-        for j, src in enumerate(link):
-            if isinstance(src, tuple) and src[0] == "const":
-                in_idx.append(src[1])
-            else:
-                in_idx.append(out_idx[src])
-        table[tuple(in_idx) + tuple(out_idx)] = 1.0
+    out_idx = [axis.ravel() for axis in np.indices(outs)]  # every output tuple, row-major
+    size = int(np.prod(outs))
+    in_idx = [
+        np.full(size, src[1]) if isinstance(src, tuple) and src[0] == "const" else out_idx[src]
+        for src in link
+    ]
+    table[tuple(in_idx) + tuple(out_idx)] = 1.0
     return CondDist(ins, outs, table)
 
 

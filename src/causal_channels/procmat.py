@@ -37,6 +37,10 @@ class ProcessValidityError(ValueError):
         self.witness = witness
 
 
+class ProbeCountError(ValueError):
+    """A probe test was asked for a negative number of probes, or would run none."""
+
+
 @dataclass(frozen=True)
 class ClassicalProcess:
     """Nonnegative tensor w(i_A, i_B, o_A, o_B), unit mass for every (o_A, o_B)."""
@@ -280,6 +284,8 @@ def probe_quantum_process(
     Runs seeded random CPTP probes plus all deterministic measure-and-prepare
     probes (capped by alphabet size).  Passing does not certify validity.
     """
+    if min(n_ia, n_oa, n_ib, n_ob) < 1:
+        raise DimensionError(f"alphabets must be positive, got {(n_ia, n_oa, n_ib, n_ob)}")
     m = as_matrix(matrix)
     if not is_positive_semidefinite(m, max(tol, 1e-8)):
         raise PositivityError("process operator is not PSD")
@@ -310,7 +316,7 @@ def probe_quantum_process(
                     f"strategy-f{f}-g{g}",
                 )
     if probes < 0 or not records:
-        raise ValueError(f"need a nonnegative probe count and one probe at least, got {probes}")
+        raise ProbeCountError(f"need a nonnegative probe count and one probe at least, got {probes}")
     max_dev = max(r["deviation"] for r in records)
     return {
         "pass": max_dev <= max(tol, 1e-8),

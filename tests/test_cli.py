@@ -1,5 +1,7 @@
 import json
 import os
+import time
+import warnings
 
 import numpy as np
 
@@ -120,6 +122,17 @@ def test_reconstruct_alphabet_3_delta_protocol(tmp_path, capsys):
     assert json.loads(out)["choi_distance"] <= 1e-8
 
 
+def test_a_large_order_file_exits_2_quickly(tmp_path, capsys):
+    # 80 operations per party, A_r before B_r: closing it once took seconds
+    nodes = [{"party": party, "round": r} for party in "AB" for r in range(1, 81)]
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": [[r, 80 + r] for r in range(80)]}))
+    wiring = os.path.join(FIXTURES, "noisy_wiring.json")
+    start = time.perf_counter()
+    assert run(["check-causal", wiring, str(path)], capsys) == (2, "")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_probe_procmat(tmp_path, capsys):
     code, out = run(["probe-procmat", os.path.join(FIXTURES, "one_way_process.json")], capsys)
     assert code == 0
@@ -136,6 +149,11 @@ def test_probe_procmat(tmp_path, capsys):
     assert code == 0 and json.loads(out)["probes"]
     assert main(["probe-procmat", str(path), "--probes", "0"]) == 2
     assert "one probe at least" in capsys.readouterr().err
+    # an empty or negative alphabet on a raw operator whose shape matches it
+    for n_oa, rows in ((0, 0), (-1, 1)):
+        matrix = {"rows": rows, "cols": rows, "data": [[1.0, 0.0]] * rows}
+        path.write_text(json.dumps({"matrix": matrix, "n_ia": -1, "n_oa": n_oa, "n_ib": 1, "n_ob": 1}))
+        assert run(["probe-procmat", str(path)], capsys) == (2, ""), n_oa
 
 
 def _kraus_entry(inst, value):
@@ -210,7 +228,8 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
     obj = serialize.encode_locc_protocol(protocol)
     obj["rounds"][0]["instrument"] = _kraus_entry(protocol.rounds[0][1], 1e308)
     (tmp_path / "overflow-protocol.json").write_text(json.dumps(obj))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():  # numpy's overflow warnings must not reach the user
+        warnings.simplefilter("error")
         for argv in (["reconstruct-locc", "overflow-fixture.json"],
                      ["compose", "loop", "overflow-loop.json"],
                      ["compose", "protocol", "overflow-protocol.json"]):
@@ -238,6 +257,11 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
     order.write_text(json.dumps(extra_node))
     wiring = os.path.join(FIXTURES, "noisy_wiring.json")
     assert run(["check-causal", wiring, str(order)], capsys) == (2, "")
+    empty = tmp_path / "empty-output-alphabet.json"  # vacuously normalised, once a traceback
+    dist = {"input_alphabets": [2, 2], "output_alphabets": [0, 2], "table": []}
+    empty.write_text(json.dumps({"n_a": 1, "n_b": 1, "dist": dist}))
+    order_ab = os.path.join(FIXTURES, "order_ab.json")
+    assert run(["check-causal", str(empty), order_ab], capsys) == (2, "")
     # a file that holds JSON, but not an object
     path.write_text("[1.0]")
     for argv in (["compose", "loop"], ["compose", "one-way"], ["reconstruct-locc"],
@@ -251,7 +275,6 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert run(["check-procmat", loop], capsys) == (2, ""), tol
         monkeypatch.delenv("CAUSAL_CHANNELS_TOL")
     assert run(["check-procmat", loop, "--tol", "0"], capsys)[0] == 1
-    order_ab = os.path.join(FIXTURES, "order_ab.json")
     assert run(["check-causal", wiring, order_ab, "--tol", "nan"], capsys) == (2, "")
     assert run(["selftest", "--tol", "-1"], capsys) == (2, "")
     # a negative probe count

@@ -68,6 +68,28 @@ def test_delta_and_loop_wiring_tables():
             assert loop.table[o_b, o_a, o_a, o_b] == 1.0
 
 
+def _delta_by_loop(ins, outs, link):
+    """Reference: the ``np.ndindex`` walk over output tuples that ``delta_wiring`` replaced."""
+    table = np.zeros(tuple(ins) + tuple(outs))
+    for out_idx in np.ndindex(*outs):
+        in_idx = [src[1] if isinstance(src, tuple) else out_idx[src] for src in link]
+        table[tuple(in_idx) + out_idx] = 1.0
+    return table
+
+
+@pytest.mark.parametrize("ins, outs, link", [
+    ((2,), (2,), (0,)),
+    ((3, 2), (2, 3), (1, 0)),
+    ((1, 2), (2, 2), (("const", 0), 0)),
+    ((3, 2, 3), (2, 2, 3), (2, ("const", 1), 2)),
+    ((2, 2), (2, 1, 2), (2, 0)),
+    ((2,), (), (("const", 1),)),
+])
+def test_delta_wiring_matches_the_loop_reference(ins, outs, link):
+    table = delta_wiring(ins, outs, link).table
+    assert table.shape == ins + outs and np.array_equal(table, _delta_by_loop(ins, outs, link))
+
+
 def test_one_way_composition_is_tp():
     rng = np.random.default_rng(0)
     alice = _inst(1, 3, 2, 2, rng)
