@@ -8,7 +8,6 @@ Reports are JSON by default (deterministic bytes for fixed inputs and seed);
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -33,14 +32,12 @@ from .procmat import (
     ProbeCountError,
     ProcessValidityError,
     causal_decompose,
-    classical_process_to_choi,
     find_violating_strategy,
     probe_quantum_process,
     recombination_error,
 )
 from .selftest import run_all
 from .sep import MembershipError, sep_to_locc_star, verify_nine_state_discrimination
-from .serialize import SchemaError
 
 
 class InputError(Exception):
@@ -62,27 +59,17 @@ def _resolve_tol(args) -> float:
     return tol
 
 
-@contextlib.contextmanager
-def _input_errors(path):
-    """Turn a missing file or any decoding error of its contents into InputError."""
+def _load(path, schema):
+    """Read ``path`` once as ``serialize.SCHEMAS[schema]``; a fault in the file is an InputError."""
     try:
-        yield
-    except FileNotFoundError as exc:
+        return serialize.load(path, schema)
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except SchemaError as exc:
-        raise InputError(str(exc)) from exc
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except ValueError as exc:  # SchemaError, and the checks of the domain types
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load(path, schema):
-    with _input_errors(path):
-        return serialize.load(path, schema)
-
-
-def _load_raw(path):
-    with _input_errors(path), open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+_load_raw = _load  # bench/tracer.py times file reads under this name
 
 
 def _strip_durations(obj):
@@ -147,24 +134,13 @@ def _cmd_verify_instrument(args):
 def _cmd_compose(args):
     tol = _resolve_tol(args)
     if args.mode == "one-way":
-        obj = _load_raw(args.file)
-        with _input_errors(args.file):
-            alice = serialize.decode_instrument(obj.get("alice"), "one_way.alice")
-            bob_maps = [
-                serialize.decode_cp_map(c, f"one_way.bob_maps[{j}]")
-                for j, c in enumerate(obj.get("bob_maps", []))
-            ]
-        joint = compose_one_way(alice, bob_maps)
+        joint = compose_one_way(*_load(args.file, "one_way"))
     elif args.mode == "protocol":
         joint = compose_locc_protocol(_load(args.file, "locc_protocol"))
     elif args.mode == "ccstar":
         joint = compose_ccstar(_load(args.file, "joint_map_spec"))
     else:  # loop
-        obj = _load_raw(args.file)
-        with _input_errors(args.file):
-            alice = serialize.decode_instrument(obj.get("alice"), "loop.alice")
-            bob = serialize.decode_instrument(obj.get("bob"), "loop.bob")
-        joint = compose_loop(alice, bob)
+        joint = compose_loop(*_load(args.file, "loop_pair"))
     defect = tp_defect(joint)
     return {
         "pass": defect <= tol,
@@ -207,18 +183,7 @@ def _cmd_check_causal(args):
 
 
 def _cmd_reconstruct_locc(args):
-    obj = _load_raw(args.fixture)
-    with _input_errors(args.fixture):
-        alice_rounds = [
-            serialize.decode_instrument(x, f"fixture.alice_rounds[{j}]")
-            for j, x in enumerate(obj.get("alice_rounds", []))
-        ]
-        bob_rounds = [
-            serialize.decode_instrument(x, f"fixture.bob_rounds[{j}]")
-            for j, x in enumerate(obj.get("bob_rounds", []))
-        ]
-        wiring = serialize.decode_aggregate_wiring(obj.get("wiring"), "fixture.wiring")
-        order = serialize.decode_causal_order(obj.get("order"), "fixture.order")
+    alice_rounds, bob_rounds, wiring, order = _load(args.fixture, "reconstruct_fixture")
     tol = max(_resolve_tol(args), 1e-8)
     try:
         protocol = reconstruct_locc(alice_rounds, bob_rounds, wiring, order)
@@ -256,15 +221,7 @@ def _cmd_decompose_procmat(args):
 
 
 def _cmd_probe_procmat(args):
-    obj = _load_raw(args.file)
-    if isinstance(obj, dict) and "table" in obj:
-        w = _load(args.file, "classical_process")
-        matrix = classical_process_to_choi(w)
-        dims = (w.n_ia, w.n_oa, w.n_ib, w.n_ob)
-    else:
-        with _input_errors(args.file):
-            matrix = serialize.decode_matrix(obj.get("matrix"), "probe.matrix")
-            dims = tuple(int(obj[k]) for k in ("n_ia", "n_oa", "n_ib", "n_ob"))
+    matrix, dims = _load(args.file, "process_operator")
     return probe_quantum_process(
         matrix, *dims, probes=args.probes, seed=args.seed, tol=_resolve_tol(args)
     )

@@ -11,6 +11,7 @@ report is formatted in one pass, all its floats by a single `%` operation.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -19,7 +20,7 @@ import numpy as np
 from .causal import CausalOrder, OpLabel, AggregateWiring
 from .channels import CpMap, Instrument
 from .composition import CondDist, JointMapSpec, LoccProtocol
-from .procmat import CausalDecomposition, ClassicalProcess
+from .procmat import CausalDecomposition, ClassicalProcess, classical_process_to_choi
 from .sep import SepMap
 
 
@@ -39,10 +40,33 @@ def _require(obj, field, kinds, where):
 
 
 def _int(obj, field, where):
-    v = _require(obj, field, (int,), where)
-    if isinstance(v, bool):
-        raise SchemaError(f"{where}: field '{field}' has wrong type")
+    """``obj[field]``, a JSON integer: never a bool, nor a float such as 1.5 or 1e400.
+
+    This is the one integer policy; ``obj`` is an object, or a list indexed by ``field``."""
+    v = obj[field] if isinstance(field, int) else _require(obj, field, (int,), where)
+    if type(v) is not int:
+        raise SchemaError(f"{where}: field '{field}' must be an integer")
     return v
+
+
+def _ints(obj, field, where) -> tuple:
+    """The list in ``field`` as a tuple of integers."""
+    vals = _require(obj, field, (list,), where)
+    return tuple(_int(vals, j, f"{where}.{field}") for j in range(len(vals)))
+
+
+def _sub(obj, field, decode, where):
+    """The object in ``field``, decoded by ``decode``."""
+    return decode(_require(obj, field, (dict,), where), f"{where}.{field}")
+
+
+def _each(obj, field, decode, where) -> list:
+    """Each entry of the list in ``field``, decoded by ``decode``."""
+    vals = _require(obj, field, (list,), where)
+    return [decode(x, f"{where}.{field}[{j}]") for j, x in enumerate(vals)]
+
+
+_NUMBER = (int, float)  # exact types: a bool or a numeric string is no number
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +85,13 @@ def decode_matrix(obj, where="matrix") -> np.ndarray:
     if len(data) != rows * cols:
         raise SchemaError(f"{where}: field 'data' has {len(data)} entries, expected {rows * cols}")
     flat = np.empty(rows * cols, dtype=np.complex128)
-    for j, pair in enumerate(data):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise SchemaError(f"{where}: field 'data' entry {j} is not a [re, im] pair")
-        flat[j] = complex(pair[0], pair[1])
+    try:  # one loop over the pairs: np.array over nested lists is slower
+        for j, (re, im) in enumerate(data):
+            if type(re) not in _NUMBER or type(im) not in _NUMBER:
+                raise TypeError
+            flat[j] = complex(re, im)  # OverflowError past the float range
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{where}: field 'data' entry {j} is no [re, im] pair of numbers") from None
     return flat.reshape(rows, cols)
 
 
@@ -79,9 +106,7 @@ def encode_cp_map(cp: CpMap) -> dict:
 def decode_cp_map(obj, where="cpmap") -> CpMap:
     in_dim = _int(obj, "in_dim", where)
     out_dim = _int(obj, "out_dim", where)
-    kraus = _require(obj, "kraus", (list,), where)
-    ops = [decode_matrix(k, f"{where}.kraus[{j}]") for j, k in enumerate(kraus)]
-    return CpMap(in_dim, out_dim, ops)
+    return CpMap(in_dim, out_dim, _each(obj, "kraus", decode_matrix, where))
 
 
 def encode_instrument(inst: Instrument) -> dict:
@@ -110,17 +135,12 @@ def decode_instrument(obj, where="instrument") -> Instrument:
     out_dim = _int(obj, "out_dim", where)
     raw = _require(obj, "elements", (dict,), where)
     elements = {}
-    for key, row in raw.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise SchemaError(f"{where}: elements key '{key}' is not an integer") from None
-        if not isinstance(row, list):
-            raise SchemaError(f"{where}: elements['{key}'] is not a list")
-        for o, cp_obj in enumerate(row):
-            cp = decode_cp_map(cp_obj, f"{where}.elements['{key}'][{o}]")
+    for key in raw:
+        if not (key.isascii() and key.isdigit() and key == str(int(key))):  # "01" would alias "1"
+            raise SchemaError(f"{where}: elements key '{key}' is not an input symbol")
+        for o, cp in enumerate(_each(raw, key, decode_cp_map, f"{where}.elements")):
             if len(cp.kraus):
-                elements[(i, o)] = cp
+                elements[(int(key), o)] = cp
     return Instrument(n_in, n_out, in_dim, out_dim, elements)
 
 
@@ -131,11 +151,16 @@ def _encode_table(table: np.ndarray) -> list:
     return np.asarray(table, dtype=np.float64).ravel(order="F").tolist()
 
 
-def _decode_table(flat, shape, where) -> np.ndarray:
-    size = int(np.prod(shape)) if shape else 1
-    if not isinstance(flat, list) or len(flat) != size:
+def _decode_table(obj, shape, where) -> np.ndarray:
+    flat = obj.get("table")
+    size = math.prod(shape)
+    if not (isinstance(flat, list) and len(flat) == size and set(map(type, flat)) <= set(_NUMBER)):
         raise SchemaError(f"{where}: field 'table' must hold {size} numbers")
-    return np.reshape(np.asarray(flat, dtype=np.float64), shape, order="F")
+    try:
+        table = np.asarray(flat, dtype=np.float64)
+    except OverflowError:
+        raise SchemaError(f"{where}: field 'table' holds a number past the float range") from None
+    return np.reshape(table, shape, order="F")
 
 
 def encode_cond_dist(d: CondDist) -> dict:
@@ -147,11 +172,9 @@ def encode_cond_dist(d: CondDist) -> dict:
 
 
 def decode_cond_dist(obj, where="cond_dist") -> CondDist:
-    ins = _require(obj, "input_alphabets", (list,), where)
-    outs = _require(obj, "output_alphabets", (list,), where)
-    shape = tuple(int(n) for n in ins) + tuple(int(n) for n in outs)
-    table = _decode_table(obj.get("table"), shape, where)
-    return CondDist(tuple(int(n) for n in ins), tuple(int(n) for n in outs), table)
+    ins = _ints(obj, "input_alphabets", where)
+    outs = _ints(obj, "output_alphabets", where)
+    return CondDist(ins, outs, _decode_table(obj, ins + outs, where))
 
 
 def encode_joint_map_spec(spec: JointMapSpec) -> dict:
@@ -164,10 +187,20 @@ def encode_joint_map_spec(spec: JointMapSpec) -> dict:
 
 def decode_joint_map_spec(obj, where="joint_map_spec") -> JointMapSpec:
     return JointMapSpec(
-        decode_instrument(_require(obj, "alice", (dict,), where), f"{where}.alice"),
-        decode_instrument(_require(obj, "bob", (dict,), where), f"{where}.bob"),
-        decode_cond_dist(_require(obj, "wiring", (dict,), where), f"{where}.wiring"),
+        _sub(obj, "alice", decode_instrument, where),
+        _sub(obj, "bob", decode_instrument, where),
+        _sub(obj, "wiring", decode_cond_dist, where),
     )
+
+
+def decode_loop_pair(obj, where="loop_pair") -> tuple:
+    """``{"alice", "bob"}``: the two instruments of the loop form."""
+    return _sub(obj, "alice", decode_instrument, where), _sub(obj, "bob", decode_instrument, where)
+
+
+def decode_one_way(obj, where="one_way") -> tuple:
+    """``{"alice", "bob_maps"}``: Alice's instrument and one Bob CP map per outcome."""
+    return _sub(obj, "alice", decode_instrument, where), _each(obj, "bob_maps", decode_cp_map, where)
 
 
 def encode_locc_protocol(p: LoccProtocol) -> dict:
@@ -181,21 +214,21 @@ def encode_locc_protocol(p: LoccProtocol) -> dict:
     }
 
 
+def _party(obj, where) -> str:
+    party = _require(obj, "party", (str,), where)
+    if party not in ("A", "B"):
+        raise SchemaError(f"{where}: party must be 'A' or 'B'")
+    return party
+
+
+def _round(obj, where) -> tuple:
+    return _party(obj, where), _sub(obj, "instrument", decode_instrument, where)
+
+
 def decode_locc_protocol(obj, where="locc_protocol") -> LoccProtocol:
     a_dim = _int(obj, "a_dim", where)
     b_dim = _int(obj, "b_dim", where)
-    raw = _require(obj, "rounds", (list,), where)
-    rounds = []
-    for j, r in enumerate(raw):
-        party = _require(r, "party", (str,), f"{where}.rounds[{j}]")
-        if party not in ("A", "B"):
-            raise SchemaError(f"{where}.rounds[{j}]: party must be 'A' or 'B'")
-        inst = decode_instrument(
-            _require(r, "instrument", (dict,), f"{where}.rounds[{j}]"),
-            f"{where}.rounds[{j}].instrument",
-        )
-        rounds.append((party, inst))
-    return LoccProtocol(tuple(rounds), a_dim, b_dim)
+    return LoccProtocol(tuple(_each(obj, "rounds", _round, where)), a_dim, b_dim)
 
 
 def encode_sep_map(s: SepMap) -> dict:
@@ -206,17 +239,12 @@ def encode_sep_map(s: SepMap) -> dict:
     }
 
 
+def _term(obj, where) -> tuple:
+    return _sub(obj, "alice", decode_cp_map, where), _sub(obj, "bob", decode_cp_map, where)
+
+
 def decode_sep_map(obj, where="sep_map") -> SepMap:
-    raw = _require(obj, "terms", (list,), where)
-    terms = []
-    for j, t in enumerate(raw):
-        terms.append(
-            (
-                decode_cp_map(_require(t, "alice", (dict,), f"{where}.terms[{j}]"), f"{where}.terms[{j}].alice"),
-                decode_cp_map(_require(t, "bob", (dict,), f"{where}.terms[{j}]"), f"{where}.terms[{j}].bob"),
-            )
-        )
-    return SepMap(tuple(terms))
+    return SepMap(tuple(_each(obj, "terms", _term, where)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,27 +259,22 @@ def encode_causal_order(order: CausalOrder) -> dict:
     }
 
 
+def _node(obj, where) -> OpLabel:
+    return OpLabel(_party(obj, where), _int(obj, "round", where))
+
+
 def decode_causal_order(obj, where="causal_order") -> CausalOrder:
-    raw_nodes = _require(obj, "nodes", (list,), where)
-    nodes = []
-    for j, n in enumerate(raw_nodes):
-        party = _require(n, "party", (str,), f"{where}.nodes[{j}]")
-        rnd = _int(n, "round", f"{where}.nodes[{j}]")
-        if party not in ("A", "B"):
-            raise SchemaError(f"{where}.nodes[{j}]: party must be 'A' or 'B'")
-        nodes.append(OpLabel(party, rnd))
+    nodes = _each(obj, "nodes", _node, where)
     n_a = sum(1 for lab in nodes if lab.party == "A")
-    n_b = len(nodes) - n_a
-    raw_edges = _require(obj, "edges", (list,), where)
     edges = []
-    for j, e in enumerate(raw_edges):
+    for j, e in enumerate(_require(obj, "edges", (list,), where)):
         if not (isinstance(e, list) and len(e) == 2):
             raise SchemaError(f"{where}.edges[{j}] must be a [from, to] pair")
-        u, v = int(e[0]), int(e[1])
+        u, v = _int(e, 0, f"{where}.edges[{j}]"), _int(e, 1, f"{where}.edges[{j}]")
         if not (0 <= u < len(nodes) and 0 <= v < len(nodes)):
             raise SchemaError(f"{where}.edges[{j}] references a missing node")
         edges.append((nodes[u], nodes[v]))
-    return CausalOrder(n_a, n_b, frozenset(edges))
+    return CausalOrder(n_a, len(nodes) - n_a, frozenset(edges))
 
 
 def encode_aggregate_wiring(w: AggregateWiring) -> dict:
@@ -260,9 +283,17 @@ def encode_aggregate_wiring(w: AggregateWiring) -> dict:
 
 def decode_aggregate_wiring(obj, where="aggregate_wiring") -> AggregateWiring:
     return AggregateWiring(
-        _int(obj, "n_a", where),
-        _int(obj, "n_b", where),
-        decode_cond_dist(_require(obj, "dist", (dict,), where), f"{where}.dist"),
+        _int(obj, "n_a", where), _int(obj, "n_b", where), _sub(obj, "dist", decode_cond_dist, where)
+    )
+
+
+def decode_reconstruct_fixture(obj, where="reconstruct_fixture") -> tuple:
+    """``{"alice_rounds", "bob_rounds", "wiring", "order"}``: a wired form and its order."""
+    return (
+        _each(obj, "alice_rounds", decode_instrument, where),
+        _each(obj, "bob_rounds", decode_instrument, where),
+        _sub(obj, "wiring", decode_aggregate_wiring, where),
+        _sub(obj, "order", decode_causal_order, where),
     )
 
 
@@ -280,12 +311,19 @@ def encode_classical_process(w: ClassicalProcess) -> dict:
 
 
 def decode_classical_process(obj, where="classical_process") -> ClassicalProcess:
-    n_ia = _int(obj, "n_ia", where)
-    n_ib = _int(obj, "n_ib", where)
-    n_oa = _int(obj, "n_oa", where)
-    n_ob = _int(obj, "n_ob", where)
-    table = _decode_table(obj.get("table"), (n_ia, n_ib, n_oa, n_ob), where)
+    n_ia, n_ib, n_oa, n_ob = (_int(obj, k, where) for k in ("n_ia", "n_ib", "n_oa", "n_ob"))
+    table = _decode_table(obj, (n_ia, n_ib, n_oa, n_ob), where)
     return ClassicalProcess(n_ia, n_ib, n_oa, n_ob, table)
+
+
+def decode_process_operator(obj, where="process_operator") -> tuple:
+    """``(operator, (n_ia, n_oa, n_ib, n_ob))`` of a classical process, which has a
+    ``table``, or of ``{"matrix", "n_ia", "n_oa", "n_ib", "n_ob"}``."""
+    dims = ("n_ia", "n_oa", "n_ib", "n_ob")
+    if isinstance(obj, dict) and "table" in obj:
+        w = decode_classical_process(obj, where)
+        return classical_process_to_choi(w), tuple(getattr(w, k) for k in dims)
+    return _sub(obj, "matrix", decode_matrix, where), tuple(_int(obj, k, where) for k in dims)
 
 
 def encode_causal_decomposition(dec: CausalDecomposition) -> dict:
@@ -297,29 +335,32 @@ def encode_causal_decomposition(dec: CausalDecomposition) -> dict:
 
 
 def decode_causal_decomposition(obj, where="causal_decomposition") -> CausalDecomposition:
-    q = _require(obj, "q", (int, float), where)
+    q = _require(obj, "q", _NUMBER, where)
     return CausalDecomposition(
-        float(q),
-        decode_cond_dist(_require(obj, "p_ab", (dict,), where), f"{where}.p_ab"),
-        decode_cond_dist(_require(obj, "p_ba", (dict,), where), f"{where}.p_ba"),
+        float(q), _sub(obj, "p_ab", decode_cond_dist, where), _sub(obj, "p_ba", decode_cond_dist, where)
     )
 
 
 # ---------------------------------------------------------------------------
 # deterministic file IO
 
+# Every input a subcommand reads, by name; ``load`` decodes through this table.
 SCHEMAS = {
-    "matrix": (encode_matrix, decode_matrix),
-    "cp_map": (encode_cp_map, decode_cp_map),
-    "instrument": (encode_instrument, decode_instrument),
-    "cond_dist": (encode_cond_dist, decode_cond_dist),
-    "joint_map_spec": (encode_joint_map_spec, decode_joint_map_spec),
-    "locc_protocol": (encode_locc_protocol, decode_locc_protocol),
-    "sep_map": (encode_sep_map, decode_sep_map),
-    "causal_order": (encode_causal_order, decode_causal_order),
-    "aggregate_wiring": (encode_aggregate_wiring, decode_aggregate_wiring),
-    "classical_process": (encode_classical_process, decode_classical_process),
-    "causal_decomposition": (encode_causal_decomposition, decode_causal_decomposition),
+    "matrix": decode_matrix,
+    "cp_map": decode_cp_map,
+    "instrument": decode_instrument,
+    "cond_dist": decode_cond_dist,
+    "joint_map_spec": decode_joint_map_spec,
+    "loop_pair": decode_loop_pair,
+    "one_way": decode_one_way,
+    "locc_protocol": decode_locc_protocol,
+    "sep_map": decode_sep_map,
+    "causal_order": decode_causal_order,
+    "aggregate_wiring": decode_aggregate_wiring,
+    "reconstruct_fixture": decode_reconstruct_fixture,
+    "classical_process": decode_classical_process,
+    "process_operator": decode_process_operator,
+    "causal_decomposition": decode_causal_decomposition,
 }
 
 
@@ -391,10 +432,11 @@ def dumps(value) -> str:
 
 
 def load(path, schema: str):
-    _, decode = SCHEMAS[schema]
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    """Read ``path`` once and decode it as ``SCHEMAS[schema]``."""
+    decode = SCHEMAS[schema]
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not well-formed JSON ({exc})") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+            raise SchemaError(f"not well-formed JSON ({exc})") from exc
     return decode(obj, schema)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_channels.causal import (
     MARGINAL_TOL,
@@ -254,62 +256,56 @@ def test_delta_reconstruction_keeps_only_reachable_transcripts():
     assert alphabets == [(1, 2), (2, 4), (4, 8), (8, 16)]
 
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
+sequences = st.lists(st.sampled_from("AB"), min_size=2, max_size=5).filter(
+    lambda s: "A" in s and "B" in s
+)
 
-    sequences = st.lists(st.sampled_from("AB"), min_size=2, max_size=5).filter(
-        lambda s: "A" in s and "B" in s
-    )
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_precedence_matrix_matches_the_set_references(data):
+    n_a = data.draw(st.integers(0, 3))
+    n_b = data.draw(st.integers(1 if n_a == 0 else 0, 3))
+    nodes, total = _labels(n_a, n_b), n_a + n_b
+    pairs = [(x, y) for x in nodes for y in nodes]  # self-loops and cycles included
+    edges = frozenset(data.draw(st.sets(st.sampled_from(pairs), max_size=5)))
+    try:
+        rel = _closure_by_fixpoint(n_a, n_b, edges)
+    except CausalOrderError:
+        with pytest.raises(CausalOrderError):
+            CausalOrder(n_a, n_b, edges)
+        return
+    order = CausalOrder(n_a, n_b, edges)
+    assert order.edges == rel
+    assert all(order.precedes(x, y) == ((x, y) in rel) for x, y in pairs)
+    for inputs in data.draw(st.lists(st.sets(st.sampled_from(nodes)), max_size=4)):
+        assert past_set(order, inputs) == _past_by_sets(rel, nodes, inputs)
+    assert linear_extension(order) == _kahn_by_sets(rel, nodes)
+    alphabets = data.draw(st.lists(st.sampled_from((2, 1, 3)), min_size=2 * total, max_size=2 * total))
+    # each slot reads outputs of slots before it in a random sequence, plus one stray read
+    seq = data.draw(st.permutations(range(total)))
+    reads = [set(seq[: seq.index(j)]) for j in range(total)]
+    reads = [set(data.draw(st.sets(st.sampled_from(sorted(r)), max_size=2))) if r else r
+             for r in reads]
+    stray = data.draw(st.none() | st.tuples(*[st.integers(0, total - 1)] * 2))
+    if stray is not None:
+        reads[stray[0]].add(stray[1])
+    pair = None
+    if n_a and n_b:  # an Alice and a Bob slot that correlate through one output
+        slot = st.integers(0, total - 1)
+        pair = data.draw(st.tuples(st.integers(0, n_a - 1), st.integers(n_a, total - 1), slot))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    w = _reading_wiring(n_a, n_b, alphabets, reads, pair, rng)
+    assert find_causal_violation(w, order) == _violation_by_symbol(w, rel)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_precedence_matrix_matches_the_set_references(data):
-        n_a = data.draw(st.integers(0, 3))
-        n_b = data.draw(st.integers(1 if n_a == 0 else 0, 3))
-        nodes, total = _labels(n_a, n_b), n_a + n_b
-        pairs = [(x, y) for x in nodes for y in nodes]  # self-loops and cycles included
-        edges = frozenset(data.draw(st.sets(st.sampled_from(pairs), max_size=5)))
-        try:
-            rel = _closure_by_fixpoint(n_a, n_b, edges)
-        except CausalOrderError:
-            with pytest.raises(CausalOrderError):
-                CausalOrder(n_a, n_b, edges)
-            return
-        order = CausalOrder(n_a, n_b, edges)
-        assert order.edges == rel
-        assert all(order.precedes(x, y) == ((x, y) in rel) for x, y in pairs)
-        for inputs in data.draw(st.lists(st.sets(st.sampled_from(nodes)), max_size=4)):
-            assert past_set(order, inputs) == _past_by_sets(rel, nodes, inputs)
-        assert linear_extension(order) == _kahn_by_sets(rel, nodes)
-        alphabets = data.draw(st.lists(st.sampled_from((2, 1, 3)), min_size=2 * total, max_size=2 * total))
-        # each slot reads outputs of slots before it in a random sequence, plus one stray read
-        seq = data.draw(st.permutations(range(total)))
-        reads = [set(seq[: seq.index(j)]) for j in range(total)]
-        reads = [set(data.draw(st.sets(st.sampled_from(sorted(r)), max_size=2))) if r else r
-                 for r in reads]
-        stray = data.draw(st.none() | st.tuples(*[st.integers(0, total - 1)] * 2))
-        if stray is not None:
-            reads[stray[0]].add(stray[1])
-        pair = None
-        if n_a and n_b:  # an Alice and a Bob slot that correlate through one output
-            slot = st.integers(0, total - 1)
-            pair = data.draw(st.tuples(st.integers(0, n_a - 1), st.integers(n_a, total - 1), slot))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
-        w = _reading_wiring(n_a, n_b, alphabets, reads, pair, rng)
-        assert find_causal_violation(w, order) == _violation_by_symbol(w, rel)
-
-    @settings(max_examples=60, deadline=None)
-    @given(sequences, st.lists(st.integers(1, 3), min_size=5, max_size=5), st.integers(0, 2**31 - 1))
-    def test_reconstructed_protocols_are_dense_and_faithful(parties, alphabets, seed):
-        p = _delta_protocol(parties, alphabets, seed)
-        rebuilt = reconstruct_locc(*protocol_to_wired_form(p))
-        _assert_valid_alternating_and_dense(rebuilt)
-        assert choi_distance(compose_locc_protocol(rebuilt), compose_locc_protocol(p)) < 1e-8
-        # merging the original rounds sums branches that differ in earlier outputs
-        merged = merge_successive(p)
-        parties = [q for q, _ in merged.rounds]
-        assert all(parties[k] != parties[k + 1] for k in range(len(parties) - 1))
-        assert choi_distance(compose_locc_protocol(merged), compose_locc_protocol(p)) < 1e-8
-except ImportError:  # pragma: no cover - hypothesis is an optional test dependency
-    pass
+@settings(max_examples=60, deadline=None)
+@given(sequences, st.lists(st.integers(1, 3), min_size=5, max_size=5), st.integers(0, 2**31 - 1))
+def test_reconstructed_protocols_are_dense_and_faithful(parties, alphabets, seed):
+    p = _delta_protocol(parties, alphabets, seed)
+    rebuilt = reconstruct_locc(*protocol_to_wired_form(p))
+    _assert_valid_alternating_and_dense(rebuilt)
+    assert choi_distance(compose_locc_protocol(rebuilt), compose_locc_protocol(p)) < 1e-8
+    # merging the original rounds sums branches that differ in earlier outputs
+    merged = merge_successive(p)
+    parties = [q for q, _ in merged.rounds]
+    assert all(parties[k] != parties[k + 1] for k in range(len(parties) - 1))
+    assert choi_distance(compose_locc_protocol(merged), compose_locc_protocol(p)) < 1e-8

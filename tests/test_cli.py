@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import time
 import warnings
 
@@ -9,13 +10,18 @@ from causal_channels import causal, serialize
 from causal_channels.channels import Instrument, random_cptp, random_instrument
 from causal_channels.cli import main
 from causal_channels.composition import LoccProtocol
-from causal_channels.procmat import ClassicalProcess, random_process_mixture
+from causal_channels.procmat import ClassicalProcess, classical_process_to_choi, random_process_mixture
+
+from test_bench_contract import REQUESTS
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+import inputs  # noqa: E402
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def _save(path, value, schema):
-    encode, _ = serialize.SCHEMAS[schema]
+    encode = getattr(serialize, f"encode_{schema}")
     path.write_text(serialize.dumps(encode(value)) + "\n")
 
 
@@ -156,6 +162,28 @@ def test_probe_procmat(tmp_path, capsys):
         assert run(["probe-procmat", str(path)], capsys) == (2, ""), n_oa
 
 
+def test_each_input_file_is_read_once(tmp_path, monkeypatch):
+    # every handler decodes its files through serialize.load, one call a file
+    read = []
+    load = serialize.load
+
+    def counting(path, schema):
+        read.append(os.path.basename(path))
+        return load(path, schema)
+
+    monkeypatch.setattr(serialize, "load", counting)
+    for req in REQUESTS:
+        if not req["files"]:
+            continue
+        directory = tmp_path / req["kind"]
+        directory.mkdir()
+        inputs.write_files(req, directory)
+        argv = [str(directory / a) if a in req["files"] else a for a in req["argv"]]
+        del read[:]
+        main(argv + ["--out", str(directory / "report.json")])
+        assert sorted(read) == sorted(a for a in req["argv"] if a in req["files"]), req["kind"]
+
+
 def _kraus_entry(inst, value):
     """The encoded instrument with its first Kraus entry set to ``value``."""
     obj = serialize.encode_instrument(inst)
@@ -262,7 +290,10 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
     empty.write_text(json.dumps({"n_a": 1, "n_b": 1, "dist": dist}))
     order_ab = os.path.join(FIXTURES, "order_ab.json")
     assert run(["check-causal", str(empty), order_ab], capsys) == (2, "")
-    # a file that holds JSON, but not an object
+    # a file that holds JSON, but not an object, or arrays nested too deep to read
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["check-procmat", str(deep)], capsys) == (2, "")
     path.write_text("[1.0]")
     for argv in (["compose", "loop"], ["compose", "one-way"], ["reconstruct-locc"],
                  ["probe-procmat"]):
@@ -281,6 +312,40 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "process.json"
     _save(path, random_process_mixture(2, 2, 2, 2, 5), "classical_process")
     assert run(["probe-procmat", str(path), "--probes", "-1"], capsys) == (2, "")
+    # numbers past the float range, once OverflowError tracebacks: a JSON integer
+    # literal in matrix data or a table, and 1e400 (read as infinity) for an integer
+    with open(os.path.join(FIXTURES, "one_way_process.json")) as fh:
+        process = json.load(fh)
+    matrix = classical_process_to_choi(serialize.decode_classical_process(process))
+    probe = {"matrix": serialize.encode_matrix(matrix),
+             **{k: process[k] for k in ("n_ia", "n_oa", "n_ib", "n_ob")}}
+    with open(os.path.join(FIXTURES, "noisy_wiring.json")) as fh:
+        noisy = json.load(fh)
+    huge = 10**400
+    inst_a = serialize.encode_instrument(loop_a)
+    rows = inst_a["elements"]
+    cases = {
+        "matrix-data": (["compose", "loop", "x"], {**nine, "alice": _kraus_entry(loop_a, huge)}),
+        "table": (["check-procmat", "x"], {**process, "table": [huge] + process["table"][1:]}),
+        "edge": (["check-causal", wiring, "x"], {"nodes": extra_node["nodes"][:2], "edges": [["1e400", 1]]}),
+        "alphabet": (["check-causal", "x", order_ab],
+                     {**noisy, "dist": {**noisy["dist"], "input_alphabets": ["1e400", 2]}}),
+        "probe-dim": (["probe-procmat", "x"], {**probe, "n_ia": "1e400"}),
+        # malformed fields that were silently accepted, with exit 0
+        "float-alphabets": (["check-causal", "x", order_ab],
+                            {**noisy, "dist": {**noisy["dist"], "input_alphabets": [1.5, 2.5]}}),
+        "string-table": (["check-causal", "x", order_ab],
+                         {**noisy, "dist": {**noisy["dist"], "table": ["0.5"] * 8}}),
+        # "00" read as input 0 replaced the row of "0", which is not trace preserving
+        "aliased-input-symbol": (["verify-instrument", "x"],
+                                 {**inst_a, "elements": {"0": rows["0"][:1] * 2, "1": rows["1"], "00": rows["0"]}}),
+    }
+    for name, (argv, obj) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj).replace('"1e400"', "1e400"))
+        start = time.perf_counter()
+        assert run([str(path) if a == "x" else a for a in argv], capsys) == (2, ""), name
+        assert time.perf_counter() - start < 1.0, name
 
 
 def test_tol_env_fallback(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_channels import cli, serialize
 from causal_channels.channels import (
@@ -365,134 +367,128 @@ def test_deep_protocol_composes_through_the_cli(tmp_path, capsys, monkeypatch):
     assert np.abs(choi - want).max() < ORACLE_TOL
 
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
+alphabet = st.integers(1, 3)
+seeds = st.integers(0, 2**31 - 1)
 
-    alphabet = st.integers(1, 3)
-    seeds = st.integers(0, 2**31 - 1)
+@settings(max_examples=40, deadline=None)
+@given(alphabet, alphabet, alphabet, alphabet, seeds)
+def test_ccstar_matches_the_link_product(n_ia, n_ib, n_oa, n_ob, seed):
+    rng = np.random.default_rng(seed)
+    alice = random_instrument(n_ia, n_oa, D, D, 1, rng)
+    bob = random_instrument(n_ib, n_ob, D, D, 1, rng)
+    table = _random_table((n_ia, n_ib), (n_oa, n_ob), rng)
+    spec = JointMapSpec(alice, bob, CondDist((n_ia, n_ib), (n_oa, n_ob), table))
+    want = oracle.wired_choi(_oracle_inst(alice), _oracle_inst(bob), table)
+    assert _oracle_gap(compose_ccstar(spec), want) < ORACLE_TOL
 
-    @settings(max_examples=40, deadline=None)
-    @given(alphabet, alphabet, alphabet, alphabet, seeds)
-    def test_ccstar_matches_the_link_product(n_ia, n_ib, n_oa, n_ob, seed):
-        rng = np.random.default_rng(seed)
-        alice = random_instrument(n_ia, n_oa, D, D, 1, rng)
-        bob = random_instrument(n_ib, n_ob, D, D, 1, rng)
-        table = _random_table((n_ia, n_ib), (n_oa, n_ob), rng)
-        spec = JointMapSpec(alice, bob, CondDist((n_ia, n_ib), (n_oa, n_ob), table))
-        want = oracle.wired_choi(_oracle_inst(alice), _oracle_inst(bob), table)
-        assert _oracle_gap(compose_ccstar(spec), want) < ORACLE_TOL
-
-    @settings(max_examples=40, deadline=None)
-    @given(alphabet, alphabet, seeds)
-    def test_loop_matches_the_link_product(n_a, n_b, seed):
-        rng = np.random.default_rng(seed)
-        alice = random_instrument(n_b, n_a, D, D, 1, rng)
-        bob = random_instrument(n_a, n_b, D, D, 1, rng)
-        want = oracle.wired_choi(
-            _oracle_inst(alice), _oracle_inst(bob), oracle.loop_table(n_b, n_a, n_a, n_b)
-        )
-        assert _oracle_gap(compose_loop(alice, bob), want) < ORACLE_TOL
-
-    @settings(max_examples=30, deadline=None)
-    @given(alphabet, seeds)
-    def test_one_way_matches_the_link_product(n, seed):
-        rng = np.random.default_rng(seed)
-        alice = random_instrument(1, n, D, D, 1, rng)
-        bob_maps = [random_cptp(D, D, 2, rng) for _ in range(n)]
-        bob = {"n_in": n, "n_out": 1, "din": D, "dout": D,
-               "elems": {(o, 0): list(m.kraus) for o, m in enumerate(bob_maps)}}
-        copy = np.zeros((1, n, n, 1))
-        copy[0, np.arange(n), np.arange(n), 0] = 1.0
-        want = oracle.wired_choi(_oracle_inst(alice), bob, copy)
-        assert _oracle_gap(compose_one_way(alice, bob_maps), want) < ORACLE_TOL
-
-    rounds = st.lists(st.tuples(alphabet, alphabet), min_size=0, max_size=2)
-
-    @settings(max_examples=40, deadline=None)
-    @given(rounds, rounds, seeds)
-    def test_wired_matches_the_link_product(a_alphabets, b_alphabets, seed):
-        rng = np.random.default_rng(seed)
-        alice = [random_instrument(i, o, D, D, 1, rng) for i, o in a_alphabets]
-        bob = [random_instrument(i, o, D, D, 1, rng) for i, o in b_alphabets]
-        ins = [i for i, _ in a_alphabets + b_alphabets]
-        outs = [o for _, o in a_alphabets + b_alphabets]
-        table = _random_table(ins, outs, rng)
-        want = oracle.wired_rounds_choi(
-            [_oracle_inst(x) for x in alice], [_oracle_inst(x) for x in bob], table, D
-        )
-        # the oracle gives a party without rounds the identity on a D-dim system
-        if not alice:
-            want = _trace_out_alice(want, D, D)
-        if not bob:
-            want = _trace_out_bob(want, D if alice else 1, D)
-        wired = compose_wired(alice, bob, CondDist(tuple(ins), tuple(outs), table))
-        assert _oracle_gap(wired, want) < ORACLE_TOL
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from("AB"), alphabet), min_size=1, max_size=4), seeds)
-    def test_protocol_matches_the_link_product(plan, seed):
-        rng = np.random.default_rng(seed)
-        steps, prev = [], 1
-        for party, n_out in plan:
-            steps.append((party, random_instrument(prev, n_out, D, D, 1, rng)))
-            prev = n_out
-        p = LoccProtocol(tuple(steps), D, D)
-        want = oracle.protocol_choi([(q, _oracle_inst(x)) for q, x in steps], D, D)
-        assert _oracle_gap(compose_locc_protocol(p), want) < ORACLE_TOL
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(st.tuples(st.sampled_from("AB"), alphabet, st.integers(2, 3), st.integers(1, 2)),
-                 min_size=1, max_size=5),
-        st.integers(2, 3), st.integers(2, 3), seeds,
+@settings(max_examples=40, deadline=None)
+@given(alphabet, alphabet, seeds)
+def test_loop_matches_the_link_product(n_a, n_b, seed):
+    rng = np.random.default_rng(seed)
+    alice = random_instrument(n_b, n_a, D, D, 1, rng)
+    bob = random_instrument(n_a, n_b, D, D, 1, rng)
+    want = oracle.wired_choi(
+        _oracle_inst(alice), _oracle_inst(bob), oracle.loop_table(n_b, n_a, n_a, n_b)
     )
-    def test_protocol_matches_the_kraus_path_walk(plan, a_dim, b_dim, seed):
-        # quantum dims change from round to round, and some elements are zero
-        rng = np.random.default_rng(seed)
-        steps, prev, dims = [], 1, {"A": a_dim, "B": b_dim}
-        for party, n_out, d_out, k in plan:
-            d_in = dims[party]
-            inst = random_instrument(prev, n_out, d_in, d_out, max(k, -(-d_in // (n_out * d_out))), rng)
-            kept = {key: el for key, el in inst.elements.items() if rng.random() < 0.7}
-            steps.append((party, Instrument(prev, n_out, d_in, d_out, kept)))
-            prev, dims[party] = n_out, d_out
-        p = LoccProtocol(tuple(steps), a_dim, b_dim)
-        got, want = compose_locc_protocol(p), _walk_reference(p)
-        assert (got.in_dim, got.out_dim) == (want.in_dim, want.out_dim)
-        assert len(got.kraus) <= got.in_dim * got.out_dim
-        assert _oracle_gap(got, oracle.kraus_choi(want.kraus, want.in_dim, want.out_dim)) < ORACLE_TOL
+    assert _oracle_gap(compose_loop(alice, bob), want) < ORACLE_TOL
 
-    dims = st.integers(1, 2)
+@settings(max_examples=30, deadline=None)
+@given(alphabet, seeds)
+def test_one_way_matches_the_link_product(n, seed):
+    rng = np.random.default_rng(seed)
+    alice = random_instrument(1, n, D, D, 1, rng)
+    bob_maps = [random_cptp(D, D, 2, rng) for _ in range(n)]
+    bob = {"n_in": n, "n_out": 1, "din": D, "dout": D,
+           "elems": {(o, 0): list(m.kraus) for o, m in enumerate(bob_maps)}}
+    copy = np.zeros((1, n, n, 1))
+    copy[0, np.arange(n), np.arange(n), 0] = 1.0
+    want = oracle.wired_choi(_oracle_inst(alice), bob, copy)
+    assert _oracle_gap(compose_one_way(alice, bob_maps), want) < ORACLE_TOL
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 3), dims, dims, dims, dims, st.booleans(), seeds)
-    def test_separable_compilation_matches_the_link_product(k, da, da_out, db, db_out, flip, seed):
-        # sum_k A_k (x) B_k is TP when {A_k} is an instrument and every B_k is
-        # TP (or the other way round); rescaling each pair by c_k, 1/c_k makes
-        # the factors unbalanced without changing the map.
-        rng = np.random.default_rng(seed)
-        if flip:
-            bob = random_instrument(1, k, db, db_out, db, rng)
-            pairs = [(random_cptp(da, da_out, da, rng), bob.element(0, j)) for j in range(k)]
-        else:
-            alice = random_instrument(1, k, da, da_out, da, rng)
-            pairs = [(alice.element(0, j), random_cptp(db, db_out, db, rng)) for j in range(k)]
-        scales = rng.uniform(0.2, 5.0, size=k)
-        terms = tuple((ea.scaled(c), eb.scaled(1.0 / c)) for (ea, eb), c in zip(pairs, scales))
-        alice, bob = sep_to_locc_star(SepMap(terms))
-        assert validate_instrument(alice) and validate_instrument(bob)
-        got = oracle.wired_choi(
-            _oracle_inst(alice),
-            _oracle_inst(bob),
-            oracle.loop_table(alice.in_alphabet, bob.in_alphabet, alice.out_alphabet,
-                              bob.out_alphabet),
-        )
-        want = sum(
-            oracle.kraus_choi([np.kron(ka, kb) for ka in ea.kraus for kb in eb.kraus],
-                              da * db, da_out * db_out)
-            for ea, eb in terms
-        )
-        assert np.abs(got - want).max() < ORACLE_TOL
-except ImportError:  # pragma: no cover - hypothesis is an optional test dependency
-    pass
+rounds = st.lists(st.tuples(alphabet, alphabet), min_size=0, max_size=2)
+
+@settings(max_examples=40, deadline=None)
+@given(rounds, rounds, seeds)
+def test_wired_matches_the_link_product(a_alphabets, b_alphabets, seed):
+    rng = np.random.default_rng(seed)
+    alice = [random_instrument(i, o, D, D, 1, rng) for i, o in a_alphabets]
+    bob = [random_instrument(i, o, D, D, 1, rng) for i, o in b_alphabets]
+    ins = [i for i, _ in a_alphabets + b_alphabets]
+    outs = [o for _, o in a_alphabets + b_alphabets]
+    table = _random_table(ins, outs, rng)
+    want = oracle.wired_rounds_choi(
+        [_oracle_inst(x) for x in alice], [_oracle_inst(x) for x in bob], table, D
+    )
+    # the oracle gives a party without rounds the identity on a D-dim system
+    if not alice:
+        want = _trace_out_alice(want, D, D)
+    if not bob:
+        want = _trace_out_bob(want, D if alice else 1, D)
+    wired = compose_wired(alice, bob, CondDist(tuple(ins), tuple(outs), table))
+    assert _oracle_gap(wired, want) < ORACLE_TOL
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("AB"), alphabet), min_size=1, max_size=4), seeds)
+def test_protocol_matches_the_link_product(plan, seed):
+    rng = np.random.default_rng(seed)
+    steps, prev = [], 1
+    for party, n_out in plan:
+        steps.append((party, random_instrument(prev, n_out, D, D, 1, rng)))
+        prev = n_out
+    p = LoccProtocol(tuple(steps), D, D)
+    want = oracle.protocol_choi([(q, _oracle_inst(x)) for q, x in steps], D, D)
+    assert _oracle_gap(compose_locc_protocol(p), want) < ORACLE_TOL
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("AB"), alphabet, st.integers(2, 3), st.integers(1, 2)),
+             min_size=1, max_size=5),
+    st.integers(2, 3), st.integers(2, 3), seeds,
+)
+def test_protocol_matches_the_kraus_path_walk(plan, a_dim, b_dim, seed):
+    # quantum dims change from round to round, and some elements are zero
+    rng = np.random.default_rng(seed)
+    steps, prev, dims = [], 1, {"A": a_dim, "B": b_dim}
+    for party, n_out, d_out, k in plan:
+        d_in = dims[party]
+        inst = random_instrument(prev, n_out, d_in, d_out, max(k, -(-d_in // (n_out * d_out))), rng)
+        kept = {key: el for key, el in inst.elements.items() if rng.random() < 0.7}
+        steps.append((party, Instrument(prev, n_out, d_in, d_out, kept)))
+        prev, dims[party] = n_out, d_out
+    p = LoccProtocol(tuple(steps), a_dim, b_dim)
+    got, want = compose_locc_protocol(p), _walk_reference(p)
+    assert (got.in_dim, got.out_dim) == (want.in_dim, want.out_dim)
+    assert len(got.kraus) <= got.in_dim * got.out_dim
+    assert _oracle_gap(got, oracle.kraus_choi(want.kraus, want.in_dim, want.out_dim)) < ORACLE_TOL
+
+dims = st.integers(1, 2)
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), dims, dims, dims, dims, st.booleans(), seeds)
+def test_separable_compilation_matches_the_link_product(k, da, da_out, db, db_out, flip, seed):
+    # sum_k A_k (x) B_k is TP when {A_k} is an instrument and every B_k is
+    # TP (or the other way round); rescaling each pair by c_k, 1/c_k makes
+    # the factors unbalanced without changing the map.
+    rng = np.random.default_rng(seed)
+    if flip:
+        bob = random_instrument(1, k, db, db_out, db, rng)
+        pairs = [(random_cptp(da, da_out, da, rng), bob.element(0, j)) for j in range(k)]
+    else:
+        alice = random_instrument(1, k, da, da_out, da, rng)
+        pairs = [(alice.element(0, j), random_cptp(db, db_out, db, rng)) for j in range(k)]
+    scales = rng.uniform(0.2, 5.0, size=k)
+    terms = tuple((ea.scaled(c), eb.scaled(1.0 / c)) for (ea, eb), c in zip(pairs, scales))
+    alice, bob = sep_to_locc_star(SepMap(terms))
+    assert validate_instrument(alice) and validate_instrument(bob)
+    got = oracle.wired_choi(
+        _oracle_inst(alice),
+        _oracle_inst(bob),
+        oracle.loop_table(alice.in_alphabet, bob.in_alphabet, alice.out_alphabet,
+                          bob.out_alphabet),
+    )
+    want = sum(
+        oracle.kraus_choi([np.kron(ka, kb) for ka in ea.kraus for kb in eb.kraus],
+                          da * db, da_out * db_out)
+        for ea, eb in terms
+    )
+    assert np.abs(got - want).max() < ORACLE_TOL

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_channels.channels import (
     choi_of,
@@ -270,94 +272,88 @@ def _perturbed(table, eps, rng):
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
 import oracle  # noqa: E402
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
+alphabets = st.tuples(*[st.integers(1, 3)] * 4)
 
-    alphabets = st.tuples(*[st.integers(1, 3)] * 4)
+@settings(max_examples=80, deadline=None)
+@given(alphabets, st.sampled_from(["valid", "loop", "0.5tol", "5tol"]), st.integers(0, 2**31 - 1))
+def test_strategy_search_matches_pair_enumeration(sizes, kind, seed):
+    tol = 1e-9
+    rng = np.random.default_rng(seed)
+    if kind == "loop":
+        table = _loop_mixed(sizes, float(rng.uniform(0.3, 1.0)), rng)
+    else:
+        table = random_process_mixture(*sizes, rng).table
+        if kind != "valid":
+            table = _perturbed(table, float(kind[:-3]) * tol, rng)
+    w = ClassicalProcess(*sizes, table)
+    expected = _brute_force_first_violation(w.table, tol)
+    witness = find_violating_strategy(w, tol)
+    assert (witness is None) == (expected is None)
+    if witness is not None:
+        f, masses = expected
+        assert witness["f"] == f
+        assert abs(witness["mass"] - masses[witness["g"]]) <= 1e-12
+        assert abs(witness["mass"] - 1.0) > tol
+        extremes = (max(masses.values()), min(masses.values()))
+        assert min(abs(witness["mass"] - m) for m in extremes) <= 1e-12
 
-    @settings(max_examples=80, deadline=None)
-    @given(alphabets, st.sampled_from(["valid", "loop", "0.5tol", "5tol"]), st.integers(0, 2**31 - 1))
-    def test_strategy_search_matches_pair_enumeration(sizes, kind, seed):
-        tol = 1e-9
-        rng = np.random.default_rng(seed)
-        if kind == "loop":
-            table = _loop_mixed(sizes, float(rng.uniform(0.3, 1.0)), rng)
-        else:
-            table = random_process_mixture(*sizes, rng).table
-            if kind != "valid":
-                table = _perturbed(table, float(kind[:-3]) * tol, rng)
-        w = ClassicalProcess(*sizes, table)
-        expected = _brute_force_first_violation(w.table, tol)
-        witness = find_violating_strategy(w, tol)
-        assert (witness is None) == (expected is None)
-        if witness is not None:
-            f, masses = expected
-            assert witness["f"] == f
-            assert abs(witness["mass"] - masses[witness["g"]]) <= 1e-12
-            assert abs(witness["mass"] - 1.0) > tol
-            extremes = (max(masses.values()), min(masses.values()))
-            assert min(abs(witness["mass"] - m) for m in extremes) <= 1e-12
+@settings(max_examples=80, deadline=None)
+@given(alphabets, st.sampled_from(["mixture", "AB", "BA"]), st.integers(0, 2**31 - 1))
+def test_closed_form_decomposition_is_a_one_way_mixture(sizes, kind, seed):
+    if kind == "mixture":
+        w = random_process_mixture(*sizes, seed)
+    else:
+        w = random_one_way_process(*sizes, seed, kind)
+    dec = causal_decompose(w)
+    p_ab, p_ba = dec.p_ab.table, dec.p_ba.table
+    assert 0.0 <= dec.q <= 1.0
+    assert p_ab.min() >= 0.0 and p_ba.min() >= 0.0
+    assert np.allclose(p_ab.sum(axis=(0, 1)), 1.0, atol=1e-12, rtol=0)
+    assert np.allclose(p_ba.sum(axis=(0, 1)), 1.0, atol=1e-12, rtol=0)
+    lead_a = p_ab.sum(axis=1)  # (i_A, o_A): must not depend on o_A
+    lead_b = p_ba.sum(axis=0)  # (i_B, o_B): must not depend on o_B
+    assert np.allclose(lead_a, lead_a[:, :1], atol=1e-12, rtol=0)
+    assert np.allclose(lead_b, lead_b[:, :1], atol=1e-12, rtol=0)
+    assert recombination_error(dec, w) <= 1e-12
 
-    @settings(max_examples=80, deadline=None)
-    @given(alphabets, st.sampled_from(["mixture", "AB", "BA"]), st.integers(0, 2**31 - 1))
-    def test_closed_form_decomposition_is_a_one_way_mixture(sizes, kind, seed):
-        if kind == "mixture":
-            w = random_process_mixture(*sizes, seed)
-        else:
-            w = random_one_way_process(*sizes, seed, kind)
-        dec = causal_decompose(w)
-        p_ab, p_ba = dec.p_ab.table, dec.p_ba.table
-        assert 0.0 <= dec.q <= 1.0
-        assert p_ab.min() >= 0.0 and p_ba.min() >= 0.0
-        assert np.allclose(p_ab.sum(axis=(0, 1)), 1.0, atol=1e-12, rtol=0)
-        assert np.allclose(p_ba.sum(axis=(0, 1)), 1.0, atol=1e-12, rtol=0)
-        lead_a = p_ab.sum(axis=1)  # (i_A, o_A): must not depend on o_A
-        lead_b = p_ba.sum(axis=0)  # (i_B, o_B): must not depend on o_B
-        assert np.allclose(lead_a, lead_a[:, :1], atol=1e-12, rtol=0)
-        assert np.allclose(lead_b, lead_b[:, :1], atol=1e-12, rtol=0)
-        assert recombination_error(dec, w) <= 1e-12
+def _one_way_table(n_lead, n_follow, n_out_lead, rng):
+    """p(i_lead) p(i_follow | i_lead, o_lead) as axes (i_lead, i_follow, o_lead).
 
-    def _one_way_table(n_lead, n_follow, n_out_lead, rng):
-        """p(i_lead) p(i_follow | i_lead, o_lead) as axes (i_lead, i_follow, o_lead).
+    Some leader symbols have probability zero, so the mixture's uniform
+    fallback conditionals are exercised.
+    """
+    p_lead = rng.dirichlet(np.ones(n_lead)) * (rng.random(n_lead) < 0.6)
+    p_lead[rng.integers(n_lead)] += 0.2
+    p_lead /= p_lead.sum()
+    cond = rng.dirichlet(np.ones(n_follow), size=(n_lead, n_out_lead))  # (i_l, o_l, i_f)
+    return p_lead[:, None, None] * cond.transpose(0, 2, 1)
 
-        Some leader symbols have probability zero, so the mixture's uniform
-        fallback conditionals are exercised.
-        """
-        p_lead = rng.dirichlet(np.ones(n_lead)) * (rng.random(n_lead) < 0.6)
-        p_lead[rng.integers(n_lead)] += 0.2
-        p_lead /= p_lead.sum()
-        cond = rng.dirichlet(np.ones(n_follow), size=(n_lead, n_out_lead))  # (i_l, o_l, i_f)
-        return p_lead[:, None, None] * cond.transpose(0, 2, 1)
+def _oracle_inst(inst):
+    return {"n_in": inst.in_alphabet, "n_out": inst.out_alphabet, "din": inst.in_dim,
+            "dout": inst.out_dim,
+            "elems": {key: list(el.kraus) for key, el in inst.elements.items()}}
 
-    def _oracle_inst(inst):
-        return {"n_in": inst.in_alphabet, "n_out": inst.out_alphabet, "din": inst.in_dim,
-                "dout": inst.out_dim,
-                "elems": {key: list(el.kraus) for key, el in inst.elements.items()}}
-
-    @settings(max_examples=40, deadline=None)
-    @given(alphabets, st.sampled_from([0.0, 1.0, None]), st.integers(0, 2**31 - 1))
-    def test_one_way_mixture_matches_the_link_product(sizes, q, seed):
-        # Differential test against the plain-numpy link products of the
-        # benchmark oracle, which shares no code with the library.
-        rng = np.random.default_rng(seed)
-        n_ia, n_ib, n_oa, n_ob = sizes
-        q = float(rng.uniform()) if q is None else q
-        t_ab = _one_way_table(n_ia, n_ib, n_oa, rng)[:, :, :, None]
-        t_ba = _one_way_table(n_ib, n_ia, n_ob, rng).transpose(1, 0, 2)[:, :, None, :]
-        w = ClassicalProcess(*sizes, q * t_ab + (1 - q) * t_ba)
-        alice = random_instrument(n_ia, n_oa, 2, 2, 1, rng)
-        bob = random_instrument(n_ib, n_ob, 2, 2, 1, rng)
-        q_dec, proto_ab, proto_ba = extract_one_way_mixture(causal_decompose(w), alice, bob)
-        got = sum(
-            weight * oracle.protocol_choi(
-                [(party, _oracle_inst(inst)) for party, inst in proto.rounds], 2, 2
-            )
-            for weight, proto in ((q_dec, proto_ab), (1 - q_dec, proto_ba))
+@settings(max_examples=40, deadline=None)
+@given(alphabets, st.sampled_from([0.0, 1.0, None]), st.integers(0, 2**31 - 1))
+def test_one_way_mixture_matches_the_link_product(sizes, q, seed):
+    # Differential test against the plain-numpy link products of the
+    # benchmark oracle, which shares no code with the library.
+    rng = np.random.default_rng(seed)
+    n_ia, n_ib, n_oa, n_ob = sizes
+    q = float(rng.uniform()) if q is None else q
+    t_ab = _one_way_table(n_ia, n_ib, n_oa, rng)[:, :, :, None]
+    t_ba = _one_way_table(n_ib, n_ia, n_ob, rng).transpose(1, 0, 2)[:, :, None, :]
+    w = ClassicalProcess(*sizes, q * t_ab + (1 - q) * t_ba)
+    alice = random_instrument(n_ia, n_oa, 2, 2, 1, rng)
+    bob = random_instrument(n_ib, n_ob, 2, 2, 1, rng)
+    q_dec, proto_ab, proto_ba = extract_one_way_mixture(causal_decompose(w), alice, bob)
+    got = sum(
+        weight * oracle.protocol_choi(
+            [(party, _oracle_inst(inst)) for party, inst in proto.rounds], 2, 2
         )
-        want = oracle.wired_choi(_oracle_inst(alice), _oracle_inst(bob), w.table)
-        assert np.abs(got - want).max() < 1e-10
-        # the uniform fallbacks keep every round an instrument
-        assert all(validate_instrument(inst) for p in (proto_ab, proto_ba) for _, inst in p.rounds)
-except ImportError:  # pragma: no cover - hypothesis is an optional test dependency
-    pass
+        for weight, proto in ((q_dec, proto_ab), (1 - q_dec, proto_ba))
+    )
+    want = oracle.wired_choi(_oracle_inst(alice), _oracle_inst(bob), w.table)
+    assert np.abs(got - want).max() < 1e-10
+    # the uniform fallbacks keep every round an instrument
+    assert all(validate_instrument(inst) for p in (proto_ab, proto_ba) for _, inst in p.rounds)

@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_channels import cli, serialize
 
@@ -130,51 +132,45 @@ def test_unknown_types_are_rejected():
             serialize.dumps({"x": [value]})
 
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
+EDGE_FLOATS = (
+    0.0, -0.0, 1.0, -1.0, 0.5, 1e16, -1e16, 9999999999999998.0, -9999999999999998.0,
+    1e15 + 1.0, 2.0**53, 1e17, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+    0.1, 1 / 3,
+)
+py_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+floats = py_floats | st.builds(np.float64, py_floats)
+ints = st.integers() | st.builds(np.int64, st.integers(-(2**63), 2**63 - 1))
+texts = st.text() | st.lists(
+    st.sampled_from(["%", "%s", "%.17g", '"', "\\", "\x00", "\n", "a", "é", "∑",
+                     "\U0001f600", "\ud800"]),
+    max_size=6,
+).map("".join)
+leaves = floats | ints | st.booleans() | st.none() | texts
+# the emitter takes lists of plain floats and of [re, im] pairs in one step
+float_lists = st.lists(py_floats, max_size=8)
+pair_lists = st.lists(st.lists(py_floats, min_size=2, max_size=2), max_size=6)
+trees = st.recursive(
+    leaves | float_lists | pair_lists,
+    lambda kids: st.lists(kids, max_size=5)
+    | st.tuples(kids, kids)
+    | st.dictionaries(texts, kids, max_size=5),
+    max_leaves=40,
+)
 
-    EDGE_FLOATS = (
-        0.0, -0.0, 1.0, -1.0, 0.5, 1e16, -1e16, 9999999999999998.0, -9999999999999998.0,
-        1e15 + 1.0, 2.0**53, 1e17, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
-        0.1, 1 / 3,
-    )
-    py_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
-    floats = py_floats | st.builds(np.float64, py_floats)
-    ints = st.integers() | st.builds(np.int64, st.integers(-(2**63), 2**63 - 1))
-    texts = st.text() | st.lists(
-        st.sampled_from(["%", "%s", "%.17g", '"', "\\", "\x00", "\n", "a", "é", "∑",
-                         "\U0001f600", "\ud800"]),
-        max_size=6,
-    ).map("".join)
-    leaves = floats | ints | st.booleans() | st.none() | texts
-    # the emitter takes lists of plain floats and of [re, im] pairs in one step
-    float_lists = st.lists(py_floats, max_size=8)
-    pair_lists = st.lists(st.lists(py_floats, min_size=2, max_size=2), max_size=6)
-    trees = st.recursive(
-        leaves | float_lists | pair_lists,
-        lambda kids: st.lists(kids, max_size=5)
-        | st.tuples(kids, kids)
-        | st.dictionaries(texts, kids, max_size=5),
-        max_leaves=40,
-    )
+@settings(max_examples=400, deadline=None)
+@given(trees)
+def test_dumps_matches_the_reference_on_json_trees(value):
+    text = serialize.dumps(value)
+    assert isinstance(text, str)
+    assert text == _format_value(value)
 
-    @settings(max_examples=400, deadline=None)
-    @given(trees)
-    def test_dumps_matches_the_reference_on_json_trees(value):
-        text = serialize.dumps(value)
-        assert isinstance(text, str)
-        assert text == _format_value(value)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(py_floats, min_size=1, max_size=60), st.integers(0, 59))
-    def test_dumps_matches_the_reference_on_matrices(entries, cut):
-        # a Choi-like matrix, its [re, im] pairs mixing plain and numpy floats
-        rows = [list(p) for p in zip(entries[::2], entries[1::2])]
-        value = {"choi": {"rows": 1, "cols": len(rows), "data": rows}, "tp_defect": entries[0]}
+@settings(max_examples=100, deadline=None)
+@given(st.lists(py_floats, min_size=1, max_size=60), st.integers(0, 59))
+def test_dumps_matches_the_reference_on_matrices(entries, cut):
+    # a Choi-like matrix, its [re, im] pairs mixing plain and numpy floats
+    rows = [list(p) for p in zip(entries[::2], entries[1::2])]
+    value = {"choi": {"rows": 1, "cols": len(rows), "data": rows}, "tp_defect": entries[0]}
+    assert serialize.dumps(value) == _format_value(value)
+    if rows:
+        rows[cut % len(rows)][0] = np.float64(rows[cut % len(rows)][0])
         assert serialize.dumps(value) == _format_value(value)
-        if rows:
-            rows[cut % len(rows)][0] = np.float64(rows[cut % len(rows)][0])
-            assert serialize.dumps(value) == _format_value(value)
-except ImportError:  # pragma: no cover - hypothesis is an optional test dependency
-    pass
