@@ -46,7 +46,7 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_positive_semidefinite(m, tol: float = DEFAULT_TOL) -> bool:
-    """PSD check via the Hermitian eigensolver.
+    """PSD check via the Hermitian eigensolver, or the diagonal of a diagonal matrix.
 
     Raises ``PositivityError`` if the input is not Hermitian within tol.
     """
@@ -55,6 +55,9 @@ def is_positive_semidefinite(m, tol: float = DEFAULT_TOL) -> bool:
         raise PositivityError("input is not Hermitian within tolerance")
     if m.shape[0] == 0:
         return True
+    diag = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(diag):
+        return float(np.min(diag.real)) >= -tol
     return float(np.min(np.linalg.eigvalsh(m))) >= -tol
 
 

@@ -260,13 +260,12 @@ def classical_process_to_choi(w: ClassicalProcess) -> np.ndarray:
     return np.diag(diag).astype(np.complex128)
 
 
-def _deterministic_probe(in_dim, out_dim, f) -> np.ndarray:
-    """Choi of the channel measuring the input basis and preparing |f(i)>."""
-    n = in_dim * out_dim
-    diag = np.zeros(n)
-    for i in range(in_dim):
-        diag[i * out_dim + f[i]] = 1.0
-    return np.diag(diag).astype(np.complex128)
+def _strategy_indicators(n_in: int, n_out: int):
+    """Deterministic strategies in product order, printed, and the 0/1 diagonals of their Chois."""
+    fs = list(product(range(n_out), repeat=n_in))
+    ind = np.zeros((len(fs), n_in * n_out))
+    ind[np.arange(len(fs))[:, None], np.arange(n_in) * n_out + np.array(fs)] = 1.0
+    return [str(f) for f in fs], ind
 
 
 def probe_quantum_process(
@@ -283,46 +282,46 @@ def probe_quantum_process(
 
     Runs seeded random CPTP probes plus all deterministic measure-and-prepare
     probes (capped by alphabet size).  Passing does not certify validity.
+    Each family is one batched product: the random probes' values are
+    Re((M_A T) . M_B) over their stacked Chois, with T = W as (xX, yY); the
+    strategy pairs' are Re(F D G^T), D[x, y] = W[xy, xy], F and G 0/1 indicators.
     """
     if min(n_ia, n_oa, n_ib, n_ob) < 1:
         raise DimensionError(f"alphabets must be positive, got {(n_ia, n_oa, n_ib, n_ob)}")
     m = as_matrix(matrix)
-    if not is_positive_semidefinite(m, max(tol, 1e-8)):
-        raise PositivityError("process operator is not PSD")
     da, db = n_ia * n_oa, n_ib * n_ob
     if m.shape != (da * db, da * db):
         raise DimensionError(f"process operator shape {m.shape} != ({da * db},{da * db})")
+    strategies = n_oa**n_ia * n_ob**n_ib <= 4096  # counted before any strategy is built
+    if probes < 0 or not (probes or strategies):
+        raise ProbeCountError(f"need a nonnegative probe count and one probe at least, got {probes}")
+    if not is_positive_semidefinite(m, max(tol, 1e-8)):
+        raise PositivityError("process operator is not PSD")
     w4 = m.reshape(da, db, da, db)
     rng = np.random.default_rng(seed)
-    records = []
-
-    def value(ma, mb, name):
-        v = float(np.real(np.einsum("xyXY,xX,yY->", w4, ma, mb)))
-        records.append({"probe": name, "value": v, "deviation": abs(v - 1.0)})
-
     # enough Kraus operators for a TP map from n_in to n_out dimensions
-    ka = max(2, -(-n_ia // n_oa))
-    kb = max(2, -(-n_ib // n_ob))
+    ka, kb = max(2, -(-n_ia // n_oa)), max(2, -(-n_ib // n_ob))
+    ma = np.empty((probes, da * da), dtype=np.complex128)
+    mb = np.empty((probes, db * db), dtype=np.complex128)
     for j in range(probes):
-        ma = choi_of(random_cptp(n_ia, n_oa, ka, rng)).matrix
-        mb = choi_of(random_cptp(n_ib, n_ob, kb, rng)).matrix
-        value(ma, mb, f"random-{j}")
-    if n_oa**n_ia * n_ob**n_ib <= 4096:  # counted before any strategy is built
-        for f in product(range(n_oa), repeat=n_ia):
-            for g in product(range(n_ob), repeat=n_ib):
-                value(
-                    _deterministic_probe(n_ia, n_oa, f),
-                    _deterministic_probe(n_ib, n_ob, g),
-                    f"strategy-f{f}-g{g}",
-                )
-    if probes < 0 or not records:
-        raise ProbeCountError(f"need a nonnegative probe count and one probe at least, got {probes}")
-    max_dev = max(r["deviation"] for r in records)
+        ma[j] = choi_of(random_cptp(n_ia, n_oa, ka, rng)).matrix.ravel()
+        mb[j] = choi_of(random_cptp(n_ib, n_ob, kb, rng)).matrix.ravel()
+    values = [np.real(((ma @ w4.transpose(0, 2, 1, 3).reshape(da * da, db * db)) * mb).sum(1))]
+    names = [f"random-{j}" for j in range(probes)]
+    if strategies:
+        fs, fa = _strategy_indicators(n_ia, n_oa)
+        gs, gb = _strategy_indicators(n_ib, n_ob)
+        values.append((fa @ np.einsum("xyxy->xy", w4).real @ gb.T).ravel())
+        names += [f"strategy-f{f}-g{g}" for f in fs for g in gs]
+    values = np.concatenate(values)
+    deviations = np.abs(values - 1.0)
+    max_dev = float(deviations.max())
     return {
         "pass": max_dev <= max(tol, 1e-8),
         "max_deviation": max_dev,
         "necessary_only": True,
-        "probes": records,
+        "probes": [{"probe": n, "value": v, "deviation": e}
+                   for n, v, e in zip(names, values.tolist(), deviations.tolist())],
     }
 
 

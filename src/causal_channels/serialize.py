@@ -431,12 +431,20 @@ def dumps(value) -> str:
     return "".join(fmt) % tuple(floats)
 
 
+def _unique_keys(pairs):
+    """A JSON object's dict; a key given twice is a ``SchemaError``, not a silent overwrite."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise SchemaError("a key appears more than once in one object")
+    return obj
+
+
 def load(path, schema: str):
     """Read ``path`` once and decode it as ``SCHEMAS[schema]``."""
     decode = SCHEMAS[schema]
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise SchemaError(f"not well-formed JSON ({exc})") from exc
     return decode(obj, schema)

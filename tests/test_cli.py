@@ -346,6 +346,20 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
         start = time.perf_counter()
         assert run([str(path) if a == "x" else a for a in argv], capsys) == (2, ""), name
         assert time.perf_counter() - start < 1.0, name
+    # a key given twice in one object, where the last value once won silently (exit 0)
+    with open(os.path.join(FIXTURES, "one_way_process.json")) as fh:
+        table_text = fh.read()
+    duplicates = {
+        "top-level": (["check-procmat", "x"], '{"n_ia": 2, ' + table_text[1:]),
+        "nested": (["probe-procmat", "x"], json.dumps(probe).replace('{"rows": ', '{"rows": 16, "rows": ', 1)),
+        "instrument-row": (["verify-instrument", "x"],
+                           json.dumps(inst_a).replace('"0": ', '"0": %s, "0": ' % json.dumps(rows["0"]), 1)),
+    }
+    for name, (argv, text) in duplicates.items():
+        path = tmp_path / f"duplicate-{name}.json"
+        path.write_text(text)
+        assert main([str(path) if a == "x" else a for a in argv]) == 2, name
+        assert "more than once" in capsys.readouterr().err, name
 
 
 def test_tol_env_fallback(tmp_path, capsys, monkeypatch):

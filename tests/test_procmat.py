@@ -19,6 +19,7 @@ from causal_channels.channels import (
 from causal_channels.composition import JointMapSpec, compose_locc_protocol, is_locc_star_member
 from causal_channels.procmat import (
     ClassicalProcess,
+    ProbeCountError,
     ProcessValidityError,
     causal_decompose,
     classical_process_to_choi,
@@ -232,6 +233,72 @@ def test_probe_values_match_the_kronecker_trace(dims):
     for rec, (ma, mb) in zip(report["probes"], pairs):
         want = float(np.real(np.trace(w @ np.kron(ma.T, mb.T))))
         assert abs(rec["value"] - want) <= 1e-12
+
+
+def test_probe_count_errors_come_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the probe count was checked")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr("causal_channels.procmat.choi_of", refuse)
+    over_cap = np.ones((32, 32)) / 32  # PSD but not diagonal; (16, 2, 1, 1) has 2**16 pairs
+    under_cap = np.ones((16, 16)) / 16
+    for w, dims, probes in ((over_cap, (16, 2, 1, 1), 0), (over_cap, (16, 2, 1, 1), -1),
+                            (under_cap, (2, 2, 2, 2), -1)):
+        with pytest.raises(ProbeCountError):
+            probe_quantum_process(w, *dims, probes=probes, seed=0)
+
+
+def _reference_probe(w, n_ia, n_oa, n_ib, n_ob, probes, seed, tol):
+    """The per-probe loop: one three-operand einsum per random or deterministic probe."""
+    w4 = w.reshape(n_ia * n_oa, n_ib * n_ob, n_ia * n_oa, n_ib * n_ob)
+    rng = np.random.default_rng(seed)
+    records = []
+
+    def value(ma, mb, name):
+        v = float(np.real(np.einsum("xyXY,xX,yY->", w4, ma, mb)))
+        records.append({"probe": name, "value": v, "deviation": abs(v - 1.0)})
+
+    def deterministic(n_in, n_out, f):
+        return np.diag([1.0 if o == f[i] else 0.0 for i in range(n_in) for o in range(n_out)])
+
+    ka, kb = max(2, -(-n_ia // n_oa)), max(2, -(-n_ib // n_ob))
+    for j in range(probes):
+        ma = choi_of(random_cptp(n_ia, n_oa, ka, rng)).matrix
+        mb = choi_of(random_cptp(n_ib, n_ob, kb, rng)).matrix
+        value(ma, mb, f"random-{j}")
+    for f in product(range(n_oa), repeat=n_ia):
+        for g in product(range(n_ob), repeat=n_ib):
+            value(deterministic(n_ia, n_oa, f), deterministic(n_ib, n_ob, g), f"strategy-f{f}-g{g}")
+    max_dev = max(r["deviation"] for r in records)
+    return {"pass": max_dev <= max(tol, 1e-8), "max_deviation": max_dev, "probes": records}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(*[st.integers(1, 3)] * 4), st.integers(0, 4),
+       st.sampled_from(["raw", "valid", "perturbed"]), st.integers(0, 2**31 - 1))
+def test_batched_probes_match_the_per_probe_loop(sizes, probes, kind, seed):
+    n_ia, n_oa, n_ib, n_ob = sizes
+    rng = np.random.default_rng(seed)
+    if kind == "raw":  # a PSD operator with nonzeros off the diagonal
+        d = n_ia * n_oa * n_ib * n_ob
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        w = g @ g.conj().T
+        w *= n_oa * n_ob / np.trace(w).real
+    else:  # a classical table's diagonal operator, valid or not
+        w = classical_process_to_choi(random_process_mixture(n_ia, n_ib, n_oa, n_ob, rng))
+        if kind == "perturbed":
+            k = int(rng.integers(len(w)))
+            w[k, k] += rng.uniform(0.0, 0.5)
+    got = probe_quantum_process(w, n_ia, n_oa, n_ib, n_ob, probes=probes, seed=seed)
+    want = _reference_probe(w, n_ia, n_oa, n_ib, n_ob, probes, seed, 1e-9)
+    assert [r["probe"] for r in got["probes"]] == [r["probe"] for r in want["probes"]]
+    for rec, ref in zip(got["probes"], want["probes"]):
+        assert list(rec) == ["probe", "value", "deviation"]
+        assert abs(rec["value"] - ref["value"]) <= 1e-12
+        assert abs(rec["deviation"] - ref["deviation"]) <= 1e-12
+    assert got["pass"] == want["pass"]
+    assert abs(got["max_deviation"] - want["max_deviation"]) <= 1e-12
 
 
 def _brute_force_first_violation(t, tol):
