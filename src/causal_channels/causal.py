@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import CpMap, Instrument, validate_instrument
+from .channels import Instrument, key_join, validate_instrument
 from .composition import CondDist, LoccProtocol, check_round_alphabets, delta_wiring
 from .linalg import DimensionError
 
@@ -255,30 +255,29 @@ def build_primed_operations(alice_rounds, bob_rounds, channels) -> list:
     """
     rounds = {OpLabel("A", k + 1): inst for k, inst in enumerate(alice_rounds)}
     rounds.update({OpLabel("B", k + 1): inst for k, inst in enumerate(bob_rounds)})
-    prev = {((), ()): 0}
+    prev = np.zeros((1, 0), dtype=np.int64)  # row s: transcript s as (I_1..I_l, O_1..O_l)
     steps = []
     for ch in channels:
         l, node = ch.position, ch.node
         base = rounds[node]
-        rows = base.by_input()
-        grown = {}  # transcript -> (previous symbol, weight, element)
-        for (hist_i, hist_o), prev_sym in prev.items():
-            weights = ch.table[hist_i + (slice(None),) + hist_o]
-            for i_l in np.flatnonzero(weights > 0.0).tolist():
-                for o_l, el in rows.get(i_l, ()):
-                    key = (hist_i + (i_l,), hist_o + (o_l,))
-                    grown[key] = (prev_sym, float(weights[i_l]), el)
-            if len(prev) * len(grown) > MAX_ROUND_SIZE:
-                raise ReconstructionSizeError(
-                    f"step {l} ({node}) has {len(prev)} x {len(grown)} or more classical "
-                    f"symbols, more than the limit of {MAX_ROUND_SIZE}"
-                )
-        cur = {key: j for j, key in enumerate(sorted(grown))}
-        elements = {
-            (prev_sym, cur[key]): el.scaled(weight)
-            for key, (prev_sym, weight, el) in grown.items()
-        }
-        inst = Instrument(len(prev), len(cur), base.in_dim, base.out_dim, elements)
+        hist_i, hist_o = prev[:, : l - 1], prev[:, l - 1 :]
+        weights = np.moveaxis(ch.table, l - 1, -1)[tuple(hist_i.T) + tuple(hist_o.T)]
+        weights = weights.reshape(len(prev), ch.table.shape[l - 1])
+        syms, i_l = np.nonzero(weights > 0.0)  # the branches of positive weight
+        first = np.flatnonzero(np.diff(base.slots(), prepend=-1))  # one per nonzero element
+        grown = np.bincount(base.keys[first, 0], minlength=base.in_alphabet)[i_l].sum()
+        if len(prev) * grown > MAX_ROUND_SIZE:
+            raise ReconstructionSizeError(
+                f"step {l} ({node}) has {len(prev)} x {grown} classical "
+                f"symbols, more than the limit of {MAX_ROUND_SIZE}"
+            )
+        branch, op = key_join(i_l, base.keys[:, 0])  # each branch with every operator it reads
+        prev_sym = syms[branch]
+        rows = np.column_stack([hist_i[prev_sym], i_l[branch], hist_o[prev_sym], base.keys[op, 1]])
+        cur, cur_sym = np.unique(rows, axis=0, return_inverse=True)  # sorted tuple order
+        ops = np.sqrt(weights[prev_sym, i_l[branch]])[:, None, None] * base.ops[op]
+        keys = np.column_stack([prev_sym, cur_sym.reshape(-1)])
+        inst = Instrument(len(prev), len(cur), base.in_dim, base.out_dim, ops, keys)
         if not validate_instrument(inst):
             raise CausalOrderError(
                 f"step {l} ({node}) does not form an instrument; "
@@ -302,18 +301,11 @@ def merge_successive(protocol: LoccProtocol) -> LoccProtocol:
     for party, inst in protocol.rounds:
         if merged and merged[-1][0] == party:
             prev = merged.pop()[1]
-            rows = inst.by_input()
-            blocks = {}
-            for (i, o1), e1 in prev.elements.items():
-                for o2, e2 in rows.get(o1, ()):
-                    blocks.setdefault((i, o2), []).append(e1.then(e2).kraus)
-            elements = {
-                key: CpMap(prev.in_dim, inst.out_dim, np.concatenate(bs))
-                for key, bs in blocks.items()
-            }
-            inst = Instrument(
-                prev.in_alphabet, inst.out_alphabet, prev.in_dim, inst.out_dim, elements
-            )
+            # prev's operator j, then each operator k of inst that reads j's output
+            j, k = key_join(prev.keys[:, 1], inst.keys[:, 0])
+            keys = np.column_stack([prev.keys[j, 0], inst.keys[k, 1]])
+            inst = Instrument(prev.in_alphabet, inst.out_alphabet, prev.in_dim, inst.out_dim,
+                              inst.ops[k] @ prev.ops[j], keys)
         merged.append((party, inst))
     return LoccProtocol(tuple(merged), protocol.a_dim, protocol.b_dim)
 

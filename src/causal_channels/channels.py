@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,19 @@ from .linalg import (
     is_positive_semidefinite,
     require_finite,
 )
+
+
+def _kraus_array(ops, out_dim: int, in_dim: int) -> np.ndarray:
+    """``ops`` as a finite complex array of shape (k, out_dim, in_dim); () gives k = 0."""
+    try:
+        ops = np.asarray(ops, dtype=np.complex128)
+    except ValueError:  # matrices of unequal shapes
+        raise DimensionError("Kraus operators do not share one shape") from None
+    if ops.shape == (0,):
+        ops = ops.reshape(0, out_dim, in_dim)
+    if ops.ndim != 3 or ops.shape[1:] != (out_dim, in_dim):
+        raise DimensionError(f"Kraus array shape {ops.shape} != (k,{out_dim},{in_dim})")
+    return require_finite(ops)
 
 
 @dataclass(frozen=True)
@@ -30,17 +43,7 @@ class CpMap:
     kraus: np.ndarray = ()
 
     def __post_init__(self):
-        try:
-            ops = np.asarray(self.kraus, dtype=np.complex128)
-        except ValueError:  # matrices of unequal shapes
-            raise DimensionError("Kraus operators do not share one shape") from None
-        if ops.shape == (0,):
-            ops = ops.reshape(0, self.out_dim, self.in_dim)
-        if ops.ndim != 3 or ops.shape[1:] != (self.out_dim, self.in_dim):
-            raise DimensionError(
-                f"Kraus array shape {ops.shape} != (k,{self.out_dim},{self.in_dim})"
-            )
-        object.__setattr__(self, "kraus", require_finite(ops))
+        object.__setattr__(self, "kraus", _kraus_array(self.kraus, self.out_dim, self.in_dim))
 
     def kraus_gram(self) -> np.ndarray:
         """Sum of K^dag K; the identity iff the map is trace preserving."""
@@ -140,55 +143,73 @@ def tp_defect(cp: CpMap) -> float:
 class Instrument:
     """Classical-input-conditioned family of CP maps indexed by classical output.
 
-    ``elements`` maps (input symbol, output symbol) to a CpMap; missing pairs
-    are zero maps.  For every input the output-sum must be trace preserving.
+    Every element's Kraus operators sit in one array ``ops`` of shape
+    (K, out_dim, in_dim), and ``keys`` (K, 2) holds the (input symbol, output
+    symbol) of each operator.  Both are stably sorted by key, so each element
+    keeps its own operator order; a pair without operators is the zero map.
+    For every input the output-sum must be trace preserving.
     """
 
     in_alphabet: int
     out_alphabet: int
     in_dim: int
     out_dim: int
-    elements: dict = field(default_factory=dict)
+    ops: np.ndarray = ()
+    keys: np.ndarray = ()
 
     def __post_init__(self):
-        elems = {}
-        for (i, o), cp in self.elements.items():
-            if not (0 <= i < self.in_alphabet and 0 <= o < self.out_alphabet):
-                raise DimensionError(f"element index ({i},{o}) outside alphabets")
-            if (cp.in_dim, cp.out_dim) != (self.in_dim, self.out_dim):
-                raise DimensionError(
-                    f"element ({i},{o}) has dims ({cp.in_dim},{cp.out_dim}), "
-                    f"expected ({self.in_dim},{self.out_dim})"
-                )
-            if len(cp.kraus):
-                elems[(i, o)] = cp
-        object.__setattr__(self, "elements", elems)
+        ops = _kraus_array(self.ops, self.out_dim, self.in_dim)
+        keys = np.asarray(self.keys, dtype=np.int64).reshape(-1, 2)
+        if len(keys) != len(ops):
+            raise DimensionError(f"{len(keys)} keys for {len(ops)} Kraus operators")
+        outside = (keys < 0) | (keys >= (self.in_alphabet, self.out_alphabet))
+        if outside.any():
+            i, o = keys[np.argmax(outside.any(axis=1))].tolist()
+            raise DimensionError(f"element index ({i},{o}) outside alphabets")
+        order = np.argsort(keys[:, 0] * self.out_alphabet + keys[:, 1], kind="stable")
+        object.__setattr__(self, "ops", ops[order])
+        object.__setattr__(self, "keys", keys[order])
+
+    @classmethod
+    def from_elements(cls, in_alphabet, out_alphabet, in_dim, out_dim, elements) -> "Instrument":
+        """The instrument of a dict from (input, output) to ``CpMap``; absent pairs are zero."""
+        elements = {key: cp for key, cp in elements.items() if len(cp.kraus)}
+        for key, cp in elements.items():
+            if (cp.in_dim, cp.out_dim) != (in_dim, out_dim):
+                raise DimensionError(f"element {key} has dims {cp.in_dim, cp.out_dim}, "
+                                     f"expected {in_dim, out_dim}")
+        ops = [cp.kraus for cp in elements.values()]
+        counts = [len(k) for k in ops]
+        keys = np.repeat(np.array(list(elements), dtype=np.int64).reshape(-1, 2), counts, axis=0)
+        ops = np.concatenate(ops) if ops else ()
+        return cls(in_alphabet, out_alphabet, in_dim, out_dim, ops, keys)
+
+    def slots(self) -> np.ndarray:
+        """Each operator's (i, o) as the one index i * out_alphabet + o, nondecreasing."""
+        return self.keys[:, 0] * self.out_alphabet + self.keys[:, 1]
 
     def element(self, i: int, o: int) -> CpMap:
-        return self.elements.get((i, o), CpMap(self.in_dim, self.out_dim, ()))
+        return CpMap(self.in_dim, self.out_dim, self.ops[(self.keys == (i, o)).all(axis=1)])
 
-    def kraus_table(self) -> tuple:
-        """Every element's Kraus operators in one (k, out, in) array, and their (i, o) as (k, 2)."""
-        maps = self.elements.values()
-        ops = np.concatenate([CpMap(self.in_dim, self.out_dim).kraus, *(el.kraus for el in maps)])
-        keys = np.array(list(self.elements), dtype=int).reshape(-1, 2)
-        return ops, np.repeat(keys, [len(el.kraus) for el in maps], axis=0)
 
-    def by_input(self) -> dict:
-        """Nonzero elements grouped by input symbol, as lists of (output, CpMap)."""
-        rows = {}
-        for (i, o), el in self.elements.items():
-            rows.setdefault(i, []).append((o, el))
-        return rows
+def key_join(left, right) -> tuple:
+    """Index pairs (l, r) with left[l] == right[r] in row-major order; ``right`` is sorted."""
+    lo, hi = np.searchsorted(right, left, "left"), np.searchsorted(right, left, "right")
+    counts = hi - lo
+    ls = np.repeat(np.arange(len(left)), counts)
+    return ls, np.arange(len(ls)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
 
 
 def validate_instrument(inst: Instrument, tol: float = DEFAULT_TOL) -> bool:
     """Every input's elements sum, by concatenation, to a trace-preserving map."""
-    rows = inst.by_input().values()
-    sums = (np.concatenate([el.kraus for _, el in row]) for row in rows)
-    return len(rows) == inst.in_alphabet and all(
-        is_trace_preserving(CpMap(inst.in_dim, inst.out_dim, ops), tol) for ops in sums
-    )
+    starts = np.flatnonzero(np.diff(inst.keys[:, 0], prepend=-1))
+    if len(starts) != inst.in_alphabet:
+        return False
+    if not len(starts):
+        return True
+    grams = np.add.reduceat(inst.ops.conj().transpose(0, 2, 1) @ inst.ops, starts)
+    defects = np.linalg.norm(require_finite(grams) - identity(inst.in_dim), axis=(1, 2))
+    return bool((defects <= tol).all())
 
 
 def complementary_map(cp: CpMap, tol: float = DEFAULT_TOL) -> CpMap:
@@ -231,9 +252,9 @@ def random_instrument(
 ) -> Instrument:
     """Seeded random instrument; the output-sum per input is TP by construction."""
     rng = np.random.default_rng(seed)
-    elements = {}
-    for i in range(in_alphabet):
-        total = random_cptp(in_dim, out_dim, out_alphabet * kraus_count, rng).kraus
-        for o, ops in enumerate(total.reshape(out_alphabet, kraus_count, out_dim, in_dim)):
-            elements[(i, o)] = CpMap(in_dim, out_dim, ops)
-    return Instrument(in_alphabet, out_alphabet, in_dim, out_dim, elements)
+    # input i's output-sum is one random TP map; output o takes its o-th block of operators
+    totals = [random_cptp(in_dim, out_dim, out_alphabet * kraus_count, rng).kraus
+              for _ in range(in_alphabet)]
+    keys = np.indices((in_alphabet, out_alphabet, kraus_count))[:2].reshape(2, -1).T
+    ops = np.array(totals).reshape(-1, out_dim, in_dim)
+    return Instrument(in_alphabet, out_alphabet, in_dim, out_dim, ops, keys)

@@ -19,9 +19,8 @@ from .channels import (
     CpMap,
     Instrument,
     complementary_map,
-    identity_map,
     is_trace_preserving,
-    tensor_map,
+    key_join,
     validate_instrument,
 )
 from .linalg import DEFAULT_TOL, DimensionError, identity
@@ -139,29 +138,26 @@ class LoccProtocol:
         object.__setattr__(self, "rounds", rounds)
 
 
-def _link(a: Instrument, b: Instrument, pairs) -> CpMap:
+def _link(a: Instrument, b: Instrument, ja, bob_ops) -> CpMap:
     """The one contraction behind every wired form (the link product).
 
-    ``pairs`` yields (ea, eb) for each Alice element ea: eb is the sum of the
-    Bob elements wired to it, each scaled by its weight p(i_A, i_B | o_A, o_B).
-    The tensor product is bilinear, so ea (x) eb is the sum of the weighted
-    element pairs, and the joint map concatenates one such block per ea.
+    The joint map's operators are kron(A_ja[n], bob_ops[n]): each Alice
+    operator with every Bob operator wired to it, in row-major (ja, Bob)
+    order, each Bob operator scaled by the square root of its weight
+    p(i_A, i_B | o_A, o_B).  The tensor product is bilinear, so this is the
+    sum over element pairs of the weighted products.
     """
-    blocks = [tensor_map(ea, eb).kraus for ea, eb in pairs]
-    return CpMap(a.in_dim * b.in_dim, a.out_dim * b.out_dim, _concat(blocks))
+    ops = np.einsum("jac,jbd->jabcd", a.ops[ja], bob_ops)
+    d_in, d_out = a.in_dim * b.in_dim, a.out_dim * b.out_dim
+    return CpMap(d_in, d_out, ops.reshape(-1, d_out, d_in))
 
 
-def _concat(blocks):
-    """The Kraus arrays ``blocks`` as one array: the Kraus form of their maps' sum."""
-    return np.concatenate(blocks) if blocks else ()
-
-
-def _table_pairs(a: Instrument, b: Instrument, table):
-    """Alice elements with their Bob sums under a table indexed (i_A, i_B, o_A, o_B)."""
-    ops, keys = b.kraus_table()
-    for (i_a, o_a), ea in a.elements.items():
-        s = np.sqrt(table[i_a, keys[:, 0], o_a, keys[:, 1]])  # per Bob operator
-        yield ea, CpMap(b.in_dim, b.out_dim, s[s > 0.0, None, None] * ops[s > 0.0])
+def _table_link(a: Instrument, b: Instrument, table) -> CpMap:
+    """The kernel under a wiring table indexed (i_A, i_B, o_A, o_B)."""
+    ka, kb = a.keys[:, None], b.keys[None, :]
+    w = table[ka[..., 0], kb[..., 0], ka[..., 1], kb[..., 1]]  # per operator pair
+    ja, jb = np.nonzero(w > 0.0)
+    return _link(a, b, ja, np.sqrt(w[ja, jb])[:, None, None] * b.ops[jb])
 
 
 def compose_one_way(alice: Instrument, bob_maps) -> CpMap:
@@ -180,11 +176,11 @@ def compose_one_way(alice: Instrument, bob_maps) -> CpMap:
         raise AlphabetError("one-way composition needs an Alice instrument with outcomes")
     if len(bob_maps) != n:
         raise AlphabetError(f"Bob map count {len(bob_maps)} != Alice output alphabet {n}")
-    bob = Instrument(
+    bob = Instrument.from_elements(
         n, 1, bob_maps[0].in_dim, bob_maps[0].out_dim, {(o, 0): m for o, m in enumerate(bob_maps)}
     )
-    pairs = ((ea, bob_maps[o_a]) for (_, o_a), ea in alice.elements.items())
-    return _link(alice, bob, pairs)
+    ja, jb = key_join(alice.keys[:, 1], bob.keys[:, 0])
+    return _link(alice, bob, ja, bob.ops[jb])
 
 
 def compose_ccstar(spec: JointMapSpec) -> CpMap:
@@ -192,8 +188,7 @@ def compose_ccstar(spec: JointMapSpec) -> CpMap:
 
     The kernel on every element pair of positive weight in the wiring table.
     """
-    a, b = spec.alice, spec.bob
-    return _link(a, b, _table_pairs(a, b, spec.wiring.table))
+    return _table_link(spec.alice, spec.bob, spec.wiring.table)
 
 
 def is_locc_star_member(spec: JointMapSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -212,12 +207,9 @@ def compose_loop(alice: Instrument, bob: Instrument) -> CpMap:
             f"loop alphabets do not match: Alice {alice.in_alphabet}->{alice.out_alphabet}, "
             f"Bob {bob.in_alphabet}->{bob.out_alphabet}"
         )
-    pairs = (
-        (ea, bob.elements[(a_sym, b_sym)])
-        for (b_sym, a_sym), ea in alice.elements.items()
-        if (a_sym, b_sym) in bob.elements
-    )
-    return _link(alice, bob, pairs)
+    # Alice's (b, a) reads Bob's (a, b)
+    ja, jb = key_join(alice.keys[:, 1] * bob.out_alphabet + alice.keys[:, 0], bob.slots())
+    return _link(alice, bob, ja, bob.ops[jb])
 
 
 def to_loop_form(spec: JointMapSpec) -> tuple[Instrument, Instrument]:
@@ -227,34 +219,20 @@ def to_loop_form(spec: JointMapSpec) -> tuple[Instrument, Instrument]:
     pair loop-composes to the same joint map as ``compose_ccstar(spec)``.
     """
     a, b, t = spec.alice, spec.bob, spec.wiring.table
-    n_ia, n_ib = a.in_alphabet, b.in_alphabet
-    n_oa, n_ob = a.out_alphabet, b.out_alphabet
+    n_ib, n_oa, n_ob = b.in_alphabet, a.out_alphabet, b.out_alphabet
     n_x = n_oa
-    n_new_a = n_ib * n_x  # loop symbol a' = (i_B, x)
-    n_new_b = n_oa * n_ob  # loop symbol b' = (o_A, o_B)
-
-    alice_elems = {}
-    for o_a in range(n_oa):
-        for o_b in range(n_ob):
-            b_sym = o_a * n_ob + o_b
-            for i_b in range(n_ib):
-                for x in range(n_x):
-                    blocks = [
-                        np.sqrt(t[i_a, i_b, o_a, o_b]) * a.element(i_a, x).kraus
-                        for i_a in range(n_ia)
-                        if t[i_a, i_b, o_a, o_b] > 0.0
-                    ]
-                    alice_elems[(b_sym, i_b * n_x + x)] = CpMap(
-                        a.in_dim, a.out_dim, _concat(blocks)
-                    )
-    alice_new = Instrument(n_new_b, n_new_a, a.in_dim, a.out_dim, alice_elems)
-
-    bob_elems = {
-        (i_b * n_x + x, x * n_ob + o_b): el
-        for (i_b, o_b), el in b.elements.items()
-        for x in range(n_x)
-    }
-    bob_new = Instrument(n_new_a, n_new_b, b.in_dim, b.out_dim, bob_elems)
+    # Alice's element (b' = (o_A, o_B), a' = (i_B, x)) concatenates, over i_A,
+    # the operators of A_{x|i_A} scaled by sqrt(t[i_A, i_B, o_A, o_B])
+    o_a, o_b, i_b, j = np.indices((n_oa, n_ob, n_ib, len(a.ops))).reshape(4, -1)
+    w = t[a.keys[j, 0], i_b, o_a, o_b]
+    keep = w > 0.0
+    keys = np.stack([o_a * n_ob + o_b, i_b * n_x + a.keys[j, 1]], axis=1)[keep]
+    ops = np.sqrt(w[keep])[:, None, None] * a.ops[j[keep]]
+    alice_new = Instrument(n_oa * n_ob, n_ib * n_x, a.in_dim, a.out_dim, ops, keys)
+    # Bob's element (a' = (i_B, x), b' = (x, o_B)) is B_{o_B|i_B} for every x
+    x, j = np.indices((n_x, len(b.ops))).reshape(2, -1)
+    keys = np.stack([b.keys[j, 0] * n_x + x, x * n_ob + b.keys[j, 1]], axis=1)
+    bob_new = Instrument(n_ib * n_x, n_oa * n_ob, b.in_dim, b.out_dim, b.ops[j], keys)
     return alice_new, bob_new
 
 
@@ -270,16 +248,15 @@ def collapse_sequence(seq) -> Instrument:
     for k in range(len(seq) - 1):
         if seq[k].out_dim != seq[k + 1].in_dim:
             raise DimensionError(f"quantum dims do not chain between rounds {k} and {k + 1}")
-    chains = dict(seq[0].elements)
+    ops, keys = seq[0].ops, seq[0].keys
     for inst in seq[1:]:
-        chains = {
-            (i * inst.in_alphabet + i_k, o * inst.out_alphabet + o_k): chain.then(el)
-            for (i, o), chain in chains.items()
-            for (i_k, o_k), el in inst.elements.items()
-        }
+        # chain operator j then round operator k, j outer, as in CpMap.then
+        ops = (inst.ops[None, :] @ ops[:, None]).reshape(-1, inst.out_dim, seq[0].in_dim)
+        alphabets = (inst.in_alphabet, inst.out_alphabet)
+        keys = (keys[:, None] * alphabets + inst.keys[None, :]).reshape(-1, 2)
     n_in = math.prod(inst.in_alphabet for inst in seq)
     n_out = math.prod(inst.out_alphabet for inst in seq)
-    return Instrument(n_in, n_out, seq[0].in_dim, seq[-1].out_dim, chains)
+    return Instrument(n_in, n_out, seq[0].in_dim, seq[-1].out_dim, ops, keys)
 
 
 def _merge_by_symbol(ops, sym, n_symbols: int):
@@ -306,12 +283,11 @@ def compose_locc_protocol(p: LoccProtocol) -> CpMap:
     a, b = p.a_dim, p.b_dim
     ops, sym = identity(a * b).reshape(1, a, b, a * b), np.zeros(1, dtype=int)
     for party, inst in p.rounds:
-        ks, keys = inst.kraus_table()
         # apply each operator, on the party's output axis, to every one whose symbol it reads
-        rows, js = np.nonzero(sym[:, None] == keys[:, 0])
+        rows, js = key_join(sym, inst.keys[:, 0])
         spec = "pxu,pubi->pxbi" if party == "A" else "pxu,paui->paxi"
-        ops = np.einsum(spec, ks[js], ops[rows])
-        ops, sym = _merge_by_symbol(ops, keys[js, 1], inst.out_alphabet)
+        ops = np.einsum(spec, inst.ops[js], ops[rows])
+        ops, sym = _merge_by_symbol(ops, inst.keys[js, 1], inst.out_alphabet)
     ops = _merge_by_symbol(ops, np.zeros(len(ops), dtype=int), 1)[0]
     d_out = ops.shape[1] * ops.shape[2]
     return CpMap(a * b, d_out, ops.reshape(-1, d_out, a * b))
@@ -345,11 +321,11 @@ def compose_wired(alice_rounds, bob_rounds, wiring: CondDist) -> CpMap:
     alice_rounds = list(alice_rounds)
     bob_rounds = list(bob_rounds)
     check_round_alphabets(alice_rounds, bob_rounds, wiring)
-    trivial = Instrument(1, 1, 1, 1, {(0, 0): identity_map(1)})
+    trivial = Instrument(1, 1, 1, 1, identity(1)[None], [(0, 0)])
     alice = collapse_sequence(alice_rounds) if alice_rounds else trivial
     bob = collapse_sequence(bob_rounds) if bob_rounds else trivial
     shape = (alice.in_alphabet, bob.in_alphabet, alice.out_alphabet, bob.out_alphabet)
-    return _link(alice, bob, _table_pairs(alice, bob, wiring.table.reshape(shape)))
+    return _table_link(alice, bob, wiring.table.reshape(shape))
 
 
 def operator_norm_of_gram(cp: CpMap) -> float:
@@ -395,8 +371,8 @@ def sep_table_instruments(terms, tol: float = DEFAULT_TOL) -> tuple[Instrument, 
     alice_elems[(big_k + 1, big_k + 1)] = pad_a
     bob_elems[(big_k, big_k + 1)] = pad_b
     bob_elems[(big_k + 1, big_k)] = pad_b
-    alice = Instrument(n, n, a_in, a_out, alice_elems)
-    bob = Instrument(n, n, b_in, b_out, bob_elems)
+    alice = Instrument.from_elements(n, n, a_in, a_out, alice_elems)
+    bob = Instrument.from_elements(n, n, b_in, b_out, bob_elems)
     return alice, bob
 
 

@@ -189,26 +189,19 @@ def _one_way_protocol(first: Instrument, first_weights, cond, second: Instrument
     ``cond[i2, o2, i, o]`` averages the second party's elements for each (i, o)
     of the leader.
     """
-    n_i, n_o = first.in_alphabet, first.out_alphabet
-    lead_elems = {}
-    for (i, o), el in first.elements.items():
-        if first_weights[i] > 0.0:
-            lead_elems[(0, i * n_o + o)] = el.scaled(float(first_weights[i]))
-    lead_inst = Instrument(1, n_i * n_o, first.in_dim, first.out_dim, lead_elems)
+    n_io = first.in_alphabet * first.out_alphabet
+    w = first_weights[first.keys[:, 0]]
+    keep = w > 0.0
+    ops = np.sqrt(w[keep])[:, None, None] * first.ops[keep]
+    keys = np.column_stack([np.zeros(len(ops), dtype=np.int64), first.slots()[keep]])
+    lead_inst = Instrument(1, n_io, first.in_dim, first.out_dim, ops, keys)
 
-    follow_elems = {}
-    for i in range(n_i):
-        for o in range(n_o):
-            blocks = [
-                np.sqrt(cond[i2, i, o]) * el.kraus
-                for (i2, _), el in second.elements.items()
-                if cond[i2, i, o] > 0.0
-            ]
-            if blocks:
-                follow_elems[(i * n_o + o, 0)] = CpMap(
-                    second.in_dim, second.out_dim, np.concatenate(blocks)
-                )
-    follow_inst = Instrument(n_i * n_o, 1, second.in_dim, second.out_dim, follow_elems)
+    # the leader's symbol i * n_o + o reads every operator of the second party
+    w = cond[second.keys[:, 0]].reshape(len(second.ops), n_io).T
+    sym, j = np.nonzero(w > 0.0)
+    ops = np.sqrt(w[sym, j])[:, None, None] * second.ops[j]
+    keys = np.column_stack([sym, np.zeros_like(sym)])
+    follow_inst = Instrument(n_io, 1, second.in_dim, second.out_dim, ops, keys)
     rounds = ((lead, lead_inst), ("B" if lead == "A" else "A", follow_inst))
     a_inst = lead_inst if lead == "A" else follow_inst
     b_inst = follow_inst if lead == "A" else lead_inst

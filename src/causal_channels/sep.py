@@ -16,6 +16,7 @@ from .channels import (
     Instrument,
     apply_cp_map,
     is_trace_preserving,
+    key_join,
     tensor_map,
 )
 from .composition import compose_loop, normalize_terms, sep_table_instruments
@@ -67,12 +68,22 @@ def locc_star_to_sep(alice: Instrument, bob: Instrument, tol: float = DEFAULT_TO
     joint = compose_loop(alice, bob)
     if not is_trace_preserving(joint, max(tol, 1e-7)):
         raise MembershipError("loop composition is not trace preserving")
-    terms = []
-    for (b_sym, a_sym), ea in sorted(alice.elements.items()):
-        eb = bob.element(a_sym, b_sym)
-        if not ea.is_zero() and not eb.is_zero():
-            terms.append((ea, eb))
-    return SepMap(tuple(terms))
+    sa, a_lo, a_hi = _nonzero_elements(alice)
+    sb, b_lo, b_hi = _nonzero_elements(bob)
+    b_sym, a_sym = np.divmod(sa, alice.out_alphabet)  # Alice's (b, a) reads Bob's (a, b)
+    ja, jb = key_join(a_sym * bob.out_alphabet + b_sym, sb)
+    return SepMap(tuple(
+        (CpMap(alice.in_dim, alice.out_dim, alice.ops[a_lo[x]:a_hi[x]]),
+         CpMap(bob.in_dim, bob.out_dim, bob.ops[b_lo[y]:b_hi[y]]))
+        for x, y in zip(ja.tolist(), jb.tolist())
+    ))
+
+
+def _nonzero_elements(inst: Instrument) -> tuple:
+    """Slot and operator range of each element with an operator of norm above DEFAULT_TOL."""
+    slots = inst.slots()
+    live = np.unique(slots[np.linalg.norm(inst.ops, axis=(1, 2)) > DEFAULT_TOL])
+    return live, np.searchsorted(slots, live), np.searchsorted(slots, live, "right")
 
 
 def _plus_minus(a: int, b: int, sign: int) -> np.ndarray:
@@ -133,8 +144,8 @@ def nine_state_fixture():
         for b in range(3):
             alice_elems[(b, a)] = alice_table[a][b]  # Alice conditions on b
             bob_elems[(a, b)] = bob_table[a][b]  # Bob conditions on a
-    alice = Instrument(3, 3, 3, 9, alice_elems)
-    bob = Instrument(3, 3, 3, 9, bob_elems)
+    alice = Instrument.from_elements(3, 3, 3, 9, alice_elems)
+    bob = Instrument.from_elements(3, 3, 3, 9, bob_elems)
     return states, alice, bob
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -110,14 +110,21 @@ def decode_cp_map(obj, where="cpmap") -> CpMap:
 
 
 def encode_instrument(inst: Instrument) -> dict:
-    # Absent (i, o) pairs are zero maps, written without building a CpMap.
-    zero = {"in_dim": inst.in_dim, "out_dim": inst.out_dim, "kraus": []}
+    # Every operator's matrix once, in key order; slot (i, o) takes the next
+    # count of them.  Zero maps share one empty list, as sparse instruments
+    # have thousands of them.
+    n_in, n_out, size = inst.in_alphabet, inst.out_alphabet, inst.out_dim * inst.in_dim
+    data = inst.ops.view(np.float64).reshape(len(inst.ops), size, 2).tolist()
+    mats = ({"rows": inst.out_dim, "cols": inst.in_dim, "data": d} for d in data)
+    counts = np.bincount(inst.slots(), minlength=n_in * n_out).reshape(n_in, n_out).tolist()
+    none = []
     elements = {
         str(i): [
-            encode_cp_map(inst.elements[(i, o)]) if (i, o) in inst.elements else dict(zero)
-            for o in range(inst.out_alphabet)
+            {"in_dim": inst.in_dim, "out_dim": inst.out_dim,
+             "kraus": list(islice(mats, c)) if c else none}
+            for c in row
         ]
-        for i in range(inst.in_alphabet)
+        for i, row in enumerate(counts)
     }
     return {
         "in_alphabet": inst.in_alphabet,
@@ -139,9 +146,8 @@ def decode_instrument(obj, where="instrument") -> Instrument:
         if not (key.isascii() and key.isdigit() and key == str(int(key))):  # "01" would alias "1"
             raise SchemaError(f"{where}: elements key '{key}' is not an input symbol")
         for o, cp in enumerate(_each(raw, key, decode_cp_map, f"{where}.elements")):
-            if len(cp.kraus):
-                elements[(int(key), o)] = cp
-    return Instrument(n_in, n_out, in_dim, out_dim, elements)
+            elements[(int(key), o)] = cp
+    return Instrument.from_elements(n_in, n_out, in_dim, out_dim, elements)
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,8 @@ def _assert_valid_alternating_and_dense(rebuilt):
     for _, inst in rebuilt.rounds:
         assert validate_instrument(inst, 1e-9)
         # every input symbol is read and every output symbol is emitted
-        assert {i for i, _ in inst.elements} == set(range(inst.in_alphabet))
-        assert {o for _, o in inst.elements} == set(range(inst.out_alphabet))
+        assert set(inst.keys[:, 0].tolist()) == set(range(inst.in_alphabet))
+        assert set(inst.keys[:, 1].tolist()) == set(range(inst.out_alphabet))
 
 
 def test_reconstruction_matches_direct_contraction():

@@ -100,9 +100,8 @@ def test_instrument_validation():
     inst = random_instrument(2, 3, 2, 2, 1, rng)
     assert validate_instrument(inst)
     # dropping an element breaks trace preservation for its input symbol
-    elems = dict(inst.elements)
-    elems.pop(next(iter(elems)))
-    broken = Instrument(2, 3, 2, 2, elems)
+    kept = (inst.keys != inst.keys[0]).any(axis=1)
+    broken = Instrument(2, 3, 2, 2, inst.ops[kept], inst.keys[kept])
     assert not validate_instrument(broken)
 
 
@@ -129,9 +128,9 @@ def test_kraus_shape_errors():
     with pytest.raises(DimensionError):
         CpMap(2, 2, (np.zeros((3, 2)),))
     with pytest.raises(DimensionError):
-        Instrument(1, 1, 2, 2, {(0, 0): identity_map(3)})
+        Instrument.from_elements(1, 1, 2, 2, {(0, 0): identity_map(3)})
     with pytest.raises(DimensionError):
-        Instrument(1, 1, 2, 2, {(0, 1): identity_map(2)})
+        Instrument.from_elements(1, 1, 2, 2, {(0, 1): identity_map(2)})
 
 
 def test_random_seed_reproducibility():

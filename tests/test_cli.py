@@ -221,7 +221,7 @@ def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
             "bob_maps": [serialize.encode_cp_map(random_cptp(d, d, 1, d)) for d in (2, 3)],
         }),
         "no-alice-outcome": ("one-way", {
-            "alice": serialize.encode_instrument(Instrument(1, 0, 2, 2, {})), "bob_maps": [],
+            "alice": serialize.encode_instrument(Instrument(1, 0, 2, 2)), "bob_maps": [],
         }),
         "loop-alphabets": ("loop", {
             "alice": serialize.encode_instrument(loop_a),

@@ -42,6 +42,7 @@ from causal_channels.composition import (
 )
 from causal_channels.procmat import random_process_mixture
 from causal_channels.sep import SepMap, sep_to_locc_star
+from dict_reference import elements
 
 
 def _inst(n_in, n_out, d_in, d_out, rng):
@@ -185,7 +186,10 @@ def _walk_reference(p):
     for party, inst in p.rounds:
         dims[party] = inst.out_dim
     kraus = []
-    by_input = [inst.by_input() for _, inst in p.rounds]
+    by_input = [{} for _ in p.rounds]
+    for r, (_, inst) in enumerate(p.rounds):
+        for (i, o), el in elements(inst).items():
+            by_input[r].setdefault(i, []).append((o, el))
 
     def walk(r, symbol, a_op, b_op):
         if r == len(p.rounds):
@@ -215,8 +219,8 @@ def test_protocol_with_large_elements():
     steps = []
     for r in range(4):
         inst = random_instrument(1 if r == 0 else 2, 2, 2, 2, 2, rng)
-        big = {key: el.scaled(1e3) for key, el in inst.elements.items()}
-        steps.append(("AB"[r % 2], Instrument(inst.in_alphabet, 2, 2, 2, big)))
+        big = np.sqrt(1e3) * inst.ops
+        steps.append(("AB"[r % 2], Instrument(inst.in_alphabet, 2, 2, 2, big, inst.keys)))
     p = LoccProtocol(tuple(steps), 2, 2)
     want = choi_of(_walk_reference(p)).matrix
     got = choi_of(compose_locc_protocol(p)).matrix
@@ -317,7 +321,7 @@ def _oracle_inst(inst):
         "n_out": inst.out_alphabet,
         "din": inst.in_dim,
         "dout": inst.out_dim,
-        "elems": {key: list(el.kraus) for key, el in inst.elements.items()},
+        "elems": {key: list(el.kraus) for key, el in elements(inst).items()},
     }
 
 
@@ -452,8 +456,8 @@ def test_protocol_matches_the_kraus_path_walk(plan, a_dim, b_dim, seed):
     for party, n_out, d_out, k in plan:
         d_in = dims[party]
         inst = random_instrument(prev, n_out, d_in, d_out, max(k, -(-d_in // (n_out * d_out))), rng)
-        kept = {key: el for key, el in inst.elements.items() if rng.random() < 0.7}
-        steps.append((party, Instrument(prev, n_out, d_in, d_out, kept)))
+        kept = {key: el for key, el in elements(inst).items() if rng.random() < 0.7}
+        steps.append((party, Instrument.from_elements(prev, n_out, d_in, d_out, kept)))
         prev, dims[party] = n_out, d_out
     p = LoccProtocol(tuple(steps), a_dim, b_dim)
     got, want = compose_locc_protocol(p), _walk_reference(p)

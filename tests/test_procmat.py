@@ -338,6 +338,7 @@ def _perturbed(table, eps, rng):
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
 import oracle  # noqa: E402
+from dict_reference import elements  # noqa: E402
 
 alphabets = st.tuples(*[st.integers(1, 3)] * 4)
 
@@ -398,7 +399,7 @@ def _one_way_table(n_lead, n_follow, n_out_lead, rng):
 def _oracle_inst(inst):
     return {"n_in": inst.in_alphabet, "n_out": inst.out_alphabet, "din": inst.in_dim,
             "dout": inst.out_dim,
-            "elems": {key: list(el.kraus) for key, el in inst.elements.items()}}
+            "elems": {key: list(el.kraus) for key, el in elements(inst).items()}}
 
 @settings(max_examples=40, deadline=None)
 @given(alphabets, st.sampled_from([0.0, 1.0, None]), st.integers(0, 2**31 - 1))
